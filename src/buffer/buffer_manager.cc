@@ -215,18 +215,65 @@ Status TracedStorageRead(StorageManager* storage, PageId id, Page* out,
 
 }  // namespace
 
+Status BufferManager::Deliver(Frame& frame, const ReadSink& sink) {
+  const bool bytes_dropped = frame.page.size() == 0 && frame.image != nullptr;
+  if (sink.page != nullptr) {
+    if (bytes_dropped) {
+      *sink.page = Page(storage_->page_size());
+      frame.codec->encode(frame.image.get(), sink.page);
+    } else {
+      *sink.page = frame.page;
+    }
+    return Status::OK();
+  }
+  if (frame.image == nullptr || frame.codec != sink.codec) {
+    if (bytes_dropped) {
+      frame.page = Page(storage_->page_size());
+      frame.codec->encode(frame.image.get(), &frame.page);
+    }
+    PageImage image;
+    KCPQ_RETURN_IF_ERROR(sink.codec->decode(frame.page, &image));
+    frame.image = std::move(image);
+    frame.codec = sink.codec;
+  }
+  // The image can rebuild a clean frame's bytes: do not keep both.
+  if (!frame.dirty) frame.page = Page();
+  *sink.image = frame.image;
+  return Status::OK();
+}
+
+Status BufferManager::DeliverPassThrough(Page page, const ReadSink& sink) {
+  if (sink.page != nullptr) {
+    *sink.page = std::move(page);
+    return Status::OK();
+  }
+  Frame one_off(std::move(page), /*dirty=*/false);
+  return Deliver(one_off, sink);
+}
+
 Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
+  return ReadInto(id, ctx, ReadSink{out, nullptr, nullptr});
+}
+
+Status BufferManager::ReadImage(PageId id, const PageCodec* codec,
+                                PageImage* out, QueryContext* ctx) {
+  return ReadInto(id, ctx, ReadSink{nullptr, codec, out});
+}
+
+Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
+                               const ReadSink& sink) {
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   // A miss always counts as a disk access (the paper's metric) whether the
   // page then arrives via a claimed prefetch or a synchronous read — the
   // speculative read replaced exactly that physical access.
   if (capacity_ == 0) {
     CountMiss();
-    if (prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, out, ctx)) {
-      return Status::OK();
+    Page page;
+    if (!(prefetch_active_.load(std::memory_order_relaxed) &&
+          ClaimPrefetched(id, &page, ctx))) {
+      KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
     }
-    return TracedStorageRead(storage_, id, out, ctx);
+    return DeliverPassThrough(std::move(page), sink);
   }
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -234,8 +281,7 @@ Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
   if (it != shard.frames.end()) {
     CountHit();
     shard.policy->OnAccess(id);
-    *out = it->second.page;
-    return Status::OK();
+    return Deliver(it->second, sink);
   }
   // Miss: fetch under the shard lock, so concurrent readers of the same
   // page trigger exactly one storage read per residency.
@@ -247,9 +293,9 @@ Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
   }
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
   shard.policy->OnInsert(id);
-  *out = page;
-  shard.frames.emplace(id, Frame{std::move(page), /*dirty=*/false});
-  return Status::OK();
+  auto inserted =
+      shard.frames.emplace(id, Frame(std::move(page), /*dirty=*/false)).first;
+  return Deliver(inserted->second, sink);
 }
 
 Status BufferManager::Write(PageId id, const Page& page) {
@@ -263,11 +309,12 @@ Status BufferManager::Write(PageId id, const Page& page) {
     shard.policy->OnAccess(id);
     it->second.page = page;
     it->second.dirty = true;
+    it->second.image.reset();
     return Status::OK();
   }
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
   shard.policy->OnInsert(id);
-  shard.frames.emplace(id, Frame{page, /*dirty=*/true});
+  shard.frames.emplace(id, Frame(page, /*dirty=*/true));
   return Status::OK();
 }
 
@@ -275,8 +322,13 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
                                QueryContext* ctx) {
   if (count == 0) return 0;
   prefetch_active_.store(true, std::memory_order_relaxed);
-  std::vector<PageId> accepted;
-  accepted.reserve(count);
+  // Residency is checked for the whole batch before any entry is
+  // registered. A registered in-flight entry is a promise to submit its
+  // read, and a demand reader waits on that entry while holding the
+  // page's shard lock (ClaimPrefetched): taking a shard lock between
+  // registering and submitting could therefore deadlock with that reader.
+  std::vector<PageId> candidates;
+  candidates.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const PageId id = ids[i];
     if (capacity_ > 0) {
@@ -287,8 +339,13 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       // just costs the synchronous read it would have cost anyway.)
       if (shard.frames.count(id) > 0) continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(prefetch_.mu);
+    candidates.push_back(id);
+  }
+  std::vector<PageId> accepted;
+  accepted.reserve(candidates.size());
+  {
+    std::lock_guard<std::mutex> lock(prefetch_.mu);
+    for (const PageId id : candidates) {
       if (prefetch_.entries.size() >= prefetch_.capacity) break;
       // Duplicate of a staged or in-flight read: coalesce.
       auto [eit, inserted] = prefetch_.entries.emplace(id, PrefetchEntry{});
@@ -303,7 +360,10 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       }
       KCPQ_METRIC_SET_MAX(obs::KcpqMetrics::Get().prefetch_inflight_peak,
                           inflight);
+      accepted.push_back(id);
     }
+  }
+  for (const PageId id : accepted) {
     // Charge speculation to the query at issue time, on the query's own
     // thread (contexts are single-threaded; completions run on I/O
     // threads). The charge dedups with any later demand read of the page.
@@ -311,7 +371,6 @@ size_t BufferManager::Prefetch(const PageId* ids, size_t count,
       ctx->OnPageRead(instance_id_, id, storage_->page_size());
     }
     CountPrefetchIssued();
-    accepted.push_back(id);
   }
   if (!accepted.empty()) {
     storage_->ReadPagesAsync(
@@ -376,9 +435,10 @@ bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx) {
     if (it == prefetch_.entries.end()) return false;
     if (!it->second.ready) {
       // In flight: wait for the completion. The caller may hold its shard
-      // lock; completions only ever take prefetch mu, so this cannot
-      // deadlock — and the wait is never longer than the synchronous read
-      // it replaces.
+      // lock; completions only ever take prefetch mu, and the entry's
+      // registrar submits its read without taking a shard lock (see
+      // Prefetch), so this cannot deadlock — and the wait is never longer
+      // than the synchronous read it replaces.
       prefetch_.cv.wait(lock, [&] {
         auto i = prefetch_.entries.find(id);
         return i == prefetch_.entries.end() || i->second.ready;
@@ -454,6 +514,19 @@ void BufferManager::IssueDemandFetch(PageId id) {
 
 Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
                               const Waker& waker, TryReadOutcome* outcome) {
+  return TryReadInto(id, ctx, waker, outcome, ReadSink{out, nullptr, nullptr});
+}
+
+Status BufferManager::TryReadImage(PageId id, const PageCodec* codec,
+                                   PageImage* out, QueryContext* ctx,
+                                   const Waker& waker,
+                                   TryReadOutcome* outcome) {
+  return TryReadInto(id, ctx, waker, outcome, ReadSink{nullptr, codec, out});
+}
+
+Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
+                                  const Waker& waker, TryReadOutcome* outcome,
+                                  const ReadSink& sink) {
   *outcome = TryReadOutcome{};
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   bool issue = false;
@@ -467,6 +540,7 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
     // first re-runner claims it — later ones find no entry and re-issue,
     // so each query still pays one miss per read, exactly like blocking
     // pass-through reads.
+    Page page;
     {
       std::lock_guard<std::mutex> lock(prefetch_.mu);
       auto it = prefetch_.entries.find(id);
@@ -481,7 +555,7 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
         if (result.ok()) {
           prefetch_claim = !it->second.demand;
           ReleaseIssuerLocked(it->second, ctx);
-          *out = std::move(it->second.page);
+          page = std::move(it->second.page);
         }
         waiters = std::move(it->second.waiters);
         prefetch_.entries.erase(it);
@@ -496,7 +570,8 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
     CountMiss();
     outcome->prefetch_claim = prefetch_claim;
     if (prefetch_claim) CountPrefetchHit();
-    return result;
+    if (!result.ok()) return result;
+    return DeliverPassThrough(std::move(page), sink);
   }
   Shard& shard = ShardFor(id);
   {
@@ -505,9 +580,8 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
     if (fit != shard.frames.end()) {
       CountHit();
       shard.policy->OnAccess(id);
-      *out = fit->second.page;
       outcome->hit = true;
-      return Status::OK();
+      return Deliver(fit->second, sink);
     }
     // Non-resident: consult the staging area (shard mu -> prefetch mu is
     // the legal lock order).
@@ -547,8 +621,10 @@ Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
       result = EvictIfFull(shard);
       if (result.ok()) {
         shard.policy->OnInsert(id);
-        *out = page;
-        shard.frames.emplace(id, Frame{std::move(page), /*dirty=*/false});
+        auto inserted =
+            shard.frames.emplace(id, Frame(std::move(page), /*dirty=*/false))
+                .first;
+        result = Deliver(inserted->second, sink);
       }
     } else if (served) {
       // Failed fetch: the access still counts, like a failed synchronous

@@ -8,11 +8,23 @@
 // here each tree simply owns a BufferManager of capacity B/2 over its own
 // storage manager.
 //
-// Semantics are copy-in/copy-out: Read copies the cached page into the
-// caller's buffer, so callers never hold pointers into frames and no pin
-// protocol is needed (a 1 KiB copy per node access is far below the cost
-// of deserializing the node). Writes are write-back: dirty frames reach
-// storage on eviction or Flush.
+// Decoded images and their lifetime: a frame may also carry an *image* of
+// its page — an immutable, decoded form built by a caller-supplied
+// PageCodec (the R-tree's node codec, rtree/node.h) the first time the
+// page is read through ReadImage / TryReadImage in a residency, and
+// validated then. Every later ReadImage hit hands out the same shared_ptr:
+// no page copy, no decode, no allocation. An image is dropped, never
+// edited: on Write (the page changed), Free, eviction and FlushAndClear. A
+// reader that still holds an image after that keeps the old, immutable
+// node — exactly what a copy taken before the change would have shown it.
+// At capacity 0 there are no frames, so each read decodes once. An image
+// is built and handed out under its shard's lock; once out it is
+// immutable, so any thread may read it without a lock for as long as it
+// holds the shared_ptr. A clean frame keeps only its image, not the raw
+// bytes too: Read (meta pages, writers that edit a node) gets them
+// re-encoded from the image. Image reads count, charge and touch the
+// replacement policy exactly like Read / TryRead. Writes are write-back:
+// dirty frames keep their bytes and reach storage on eviction or Flush.
 //
 // Locking protocol (since the parallel batch executor, src/exec/): the
 // frame table is split into `shards` independent shards, each owning a
@@ -119,6 +131,20 @@ struct BufferStats {
   void Reset() { *this = BufferStats{}; }
 };
 
+/// A page's decoded, immutable image (type-erased so the buffer stays
+/// ignorant of page formats; the codec's caller knows the real type).
+using PageImage = std::shared_ptr<const void>;
+
+/// How one page format turns into an image and back.
+struct PageCodec {
+  /// Builds `*image` from `page`, validating it. A non-OK status is
+  /// returned to the reader and nothing is cached.
+  Status (*decode)(const Page& page, PageImage* image);
+  /// Writes `image` back out as page bytes into `*page` (already sized):
+  /// every byte `decode` reads; bytes the format ignores come back zero.
+  void (*encode)(const void* image, Page* page);
+};
+
 class BufferManager {
  public:
   /// `storage` must outlive the buffer manager. `capacity_pages` may be 0
@@ -150,6 +176,11 @@ class BufferManager {
   /// storage stack on a miss (deadline-aware retries).
   Status Read(PageId id, Page* out, QueryContext* ctx = nullptr);
 
+  /// Read, but hands out the page's image built by `codec` (see the file
+  /// comment) instead of a copy of its bytes. Same counting and charging.
+  Status ReadImage(PageId id, const PageCodec* codec, PageImage* out,
+                   QueryContext* ctx = nullptr);
+
   /// How a TryRead attempt was resolved. Exactly one of three shapes:
   /// parked (no page, no counting yet), served hit (`hit`), or served
   /// miss (`!parked && !hit`; `prefetch_claim` marks a miss satisfied by
@@ -174,6 +205,11 @@ class BufferManager {
   /// OnInsert/OnAccess history.
   Status TryRead(PageId id, Page* out, QueryContext* ctx, const Waker& waker,
                  TryReadOutcome* outcome);
+
+  /// TryRead handing out the page's image, as ReadImage does for Read.
+  Status TryReadImage(PageId id, const PageCodec* codec, PageImage* out,
+                      QueryContext* ctx, const Waker& waker,
+                      TryReadOutcome* outcome);
 
   /// Speculatively reads `count` pages through the storage manager's async
   /// path into the prefetch area. Pages already resident, already staged,
@@ -243,9 +279,36 @@ class BufferManager {
 
  private:
   struct Frame {
+    Frame() = default;
+    Frame(Page p, bool d) : page(std::move(p)), dirty(d) {}
+
+    /// The raw bytes; empty (size 0) once a clean frame has an image.
     Page page;
     bool dirty = false;
+    /// The page's image and the codec that built it; null until the
+    /// first image read of this residency.
+    PageImage image;
+    const PageCodec* codec = nullptr;
   };
+
+  /// What a read hands back: a copy of the page when `page` is set,
+  /// otherwise the frame's image built by `codec`, into `image`.
+  struct ReadSink {
+    Page* page = nullptr;
+    const PageCodec* codec = nullptr;
+    PageImage* image = nullptr;
+  };
+
+  /// Serves `sink` from `frame`, building the frame's image if it has
+  /// none yet (and then dropping a clean frame's raw bytes). Caller holds
+  /// the frame's shard lock.
+  Status Deliver(Frame& frame, const ReadSink& sink);
+  /// Serves `sink` from a page read at capacity 0, which no frame keeps.
+  Status DeliverPassThrough(Page page, const ReadSink& sink);
+
+  Status ReadInto(PageId id, QueryContext* ctx, const ReadSink& sink);
+  Status TryReadInto(PageId id, QueryContext* ctx, const Waker& waker,
+                     TryReadOutcome* outcome, const ReadSink& sink);
 
   struct Shard {
     std::mutex mu;
@@ -279,8 +342,10 @@ class BufferManager {
   /// Staging table for speculative reads, separate from the frame table so
   /// the replacement policy never observes speculation. Lock order: a
   /// shard mutex may be held when taking `mu`; never the reverse.
-  /// Completion callbacks take only `mu`, so a claimer may wait on `cv`
-  /// while holding its shard lock without deadlock.
+  /// Completion callbacks take only `mu`, and whoever registers an
+  /// in-flight entry submits its read without taking a shard lock first,
+  /// so a claimer may wait on `cv` while holding its shard lock without
+  /// deadlock.
   struct PrefetchArea {
     mutable std::mutex mu;
     std::condition_variable cv;

@@ -1,5 +1,6 @@
 #include "cpq/brute.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cpq/leaf_kernel.h"
@@ -18,11 +19,13 @@ struct SweepPoint {
 };
 
 std::vector<SweepPoint> ToSweepPoints(
-    const std::vector<std::pair<Point, uint64_t>>& items) {
+    const std::vector<std::pair<Point, uint64_t>>& items, Rect* extent) {
   std::vector<SweepPoint> out;
   out.reserve(items.size());
+  *extent = Rect::Empty();
   for (const auto& [pt, id] : items) {
     out.push_back(SweepPoint{Rect::FromPoint(pt), pt, id});
+    extent->Expand(pt);
   }
   return out;
 }
@@ -53,11 +56,17 @@ std::vector<PairResult> BruteForceKClosestPairs(
     return stop != StopCause::kNone;
   };
   if (kernel == LeafKernel::kPlaneSweep) {
-    const std::vector<SweepPoint> sp = ToSweepPoints(p);
-    const std::vector<SweepPoint> sq = ToSweepPoints(q);
-    cpq_internal::SweepScratch<SweepPoint> scratch;
+    Rect extent_p, extent_q;
+    std::vector<SweepPoint> sp = ToSweepPoints(p, &extent_p);
+    std::vector<SweepPoint> sq = ToSweepPoints(q, &extent_q);
+    const int axis = cpq_internal::SweepAxis(extent_p, extent_q);
+    const auto by_lo = [axis](const SweepPoint& a, const SweepPoint& b) {
+      return a.rect.lo[axis] < b.rect.lo[axis];
+    };
+    std::sort(sp.begin(), sp.end(), by_lo);
+    std::sort(sq.begin(), sq.end(), by_lo);
     cpq_internal::PlaneSweepPairs(
-        sp, sq, metric, /*strict=*/false, &scratch,
+        sp, sq, axis, metric, /*strict=*/false,
         [](const SweepPoint& it) -> const Rect& { return it.rect; },
         [&] { return heap.Bound(); },
         [&](const SweepPoint& a, const SweepPoint& b) {

@@ -11,18 +11,11 @@ namespace {
 
 using cpq_internal::ChooseDescend;
 using cpq_internal::DescendChoice;
+using cpq_internal::MaxPointsAtLevel;
 using cpq_internal::MaxPointsOfNode;
 
 uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
   return a + b < a ? std::numeric_limits<uint64_t>::max() : a + b;
-}
-
-// M^(level+1): saturating upper bound on points in a subtree rooted at
-// `level`; level -1 (a leaf's entry) is a single point.
-uint64_t MaxPointsAtLevel(int level, uint64_t max_entries) {
-  uint64_t n = 1;
-  for (int i = 0; i <= level; ++i) n = SaturatingMul(n, max_entries);
-  return n;
 }
 
 // Recursive ε-join worker over two subtrees identified by page ids.
@@ -53,10 +46,10 @@ class JoinWalker {
     }
 
     QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
-    Node node_p, node_q;
-    Status read_status = tree_p_.ReadNode(page_p, &node_p, read_ctx);
+    NodeImagePtr image_p, image_q;
+    Status read_status = tree_p_.ReadNode(page_p, &image_p, read_ctx);
     if (read_status.ok()) {
-      read_status = tree_q_.ReadNode(page_q, &node_q, read_ctx);
+      read_status = tree_q_.ReadNode(page_q, &image_q, read_ctx);
     }
     if (read_status.code() == StatusCode::kDeadlineExceeded) {
       stop_ = StopCause::kDeadline;
@@ -66,36 +59,38 @@ class JoinWalker {
     KCPQ_RETURN_IF_ERROR(read_status);
     ++stats_->node_pairs_processed;
     node_accesses_ += 2;
+    const NodeImage& node_p = *image_p;
+    const NodeImage& node_q = *image_q;
 
-    const DescendChoice choice = ChooseDescend(node_p.level, node_q.level,
+    const DescendChoice choice = ChooseDescend(node_p.level(), node_q.level(),
                                                options_.height_strategy);
     if (choice == DescendChoice::kLeaves) {
       return EmitLeafPairs(node_p, node_q, page_p == page_q);
     }
     const bool expand_p = choice != DescendChoice::kSecondOnly;
     const bool expand_q = choice != DescendChoice::kFirstOnly;
-    const Rect whole_p = node_p.ComputeMbr();
-    const Rect whole_q = node_q.ComputeMbr();
+    const Rect& whole_p = node_p.mbr();
+    const Rect& whole_q = node_q.mbr();
     // Per-side pair-capacity factors for the missing-pair certificate: an
     // expanded side contributes one child subtree's capacity, a fixed side
     // the whole node's.
     const uint64_t cap_p =
-        expand_p ? MaxPointsAtLevel(node_p.level - 1, tree_p_.max_entries())
+        expand_p ? MaxPointsAtLevel(node_p.level() - 1, tree_p_.max_entries())
                  : MaxPointsOfNode(node_p, tree_p_.max_entries());
     const uint64_t cap_q =
-        expand_q ? MaxPointsAtLevel(node_q.level - 1, tree_q_.max_entries())
+        expand_q ? MaxPointsAtLevel(node_q.level() - 1, tree_q_.max_entries())
                  : MaxPointsOfNode(node_q, tree_q_.max_entries());
     const uint64_t child_max_pairs = SaturatingMul(cap_p, cap_q);
-    const size_t np = expand_p ? node_p.entries.size() : 1;
-    const size_t nq = expand_q ? node_q.entries.size() : 1;
+    const size_t np = expand_p ? node_p.entries().size() : 1;
+    const size_t nq = expand_q ? node_q.entries().size() : 1;
     for (size_t i = 0; i < np; ++i) {
-      const Rect& rp = expand_p ? node_p.entries[i].rect : whole_p;
+      const Rect& rp = expand_p ? node_p.entries()[i].rect : whole_p;
       for (size_t j = 0; j < nq; ++j) {
-        const Rect& rq = expand_q ? node_q.entries[j].rect : whole_q;
+        const Rect& rq = expand_q ? node_q.entries()[j].rect : whole_q;
         // Self-join: same-node expansions cover each unordered child pair
         // twice; keep the page-ordered orientation (see cpq/engine.cc).
         if (options_.self_join && page_p == page_q && expand_p && expand_q &&
-            node_p.entries[i].id > node_q.entries[j].id) {
+            node_p.entries()[i].id > node_q.entries()[j].id) {
           continue;
         }
         ++stats_->candidate_pairs_generated;
@@ -110,8 +105,8 @@ class JoinWalker {
           continue;
         }
         KCPQ_RETURN_IF_ERROR(
-            Walk(expand_p ? node_p.entries[i].id : page_p,
-                 expand_q ? node_q.entries[j].id : page_q, child_minmin,
+            Walk(expand_p ? node_p.entries()[i].id : page_p,
+                 expand_q ? node_q.entries()[j].id : page_q, child_minmin,
                  child_max_pairs));
       }
     }
@@ -142,7 +137,7 @@ class JoinWalker {
           SaturatingAdd(missing_pair_bound_, std::max<uint64_t>(max_pairs, 1));
     }
   }
-  Status EmitLeafPairs(const Node& node_p, const Node& node_q,
+  Status EmitLeafPairs(const NodeImage& node_p, const NodeImage& node_q,
                        bool same_node) {
     // Shared by both kernels; returns false (aborting the enumeration) only
     // when the max_results valve trips, leaving the error in `status`.
@@ -179,17 +174,15 @@ class JoinWalker {
     if (options_.leaf_kernel == LeafKernel::kPlaneSweep) {
       // strict = true: the join keeps distance == ε exactly, so only pairs
       // whose axis separation strictly exceeds ε are provably rejectable.
-      const uint64_t total = static_cast<uint64_t>(node_p.entries.size()) *
-                             node_q.entries.size();
-      const uint64_t visited = cpq_internal::PlaneSweepPairs(
-          node_p.entries, node_q.entries, options_.metric, /*strict=*/true,
-          &sweep_scratch_,
-          [](const Entry& e) -> const Rect& { return e.rect; },
+      const uint64_t total = static_cast<uint64_t>(node_p.entries().size()) *
+                             node_q.entries().size();
+      const uint64_t visited = cpq_internal::SweepNodePairs(
+          node_p, node_q, options_.metric, /*strict=*/true,
           [&] { return epsilon_pow_; }, consider);
       if (status.ok()) stats_->leaf_pairs_skipped += total - visited;
     } else {
-      for (const Entry& ep : node_p.entries) {
-        for (const Entry& eq : node_q.entries) {
+      for (const Entry& ep : node_p.entries()) {
+        for (const Entry& eq : node_q.entries()) {
           if (!consider(ep, eq)) return status;
         }
       }
@@ -205,7 +198,6 @@ class JoinWalker {
   bool accounting_;
   CpqStats* stats_;
   std::vector<PairResult>* out_;
-  cpq_internal::SweepScratch<Entry> sweep_scratch_;
   uint64_t node_accesses_ = 0;
   StopCause stop_ = StopCause::kNone;
   double frontier_min_pow_ = std::numeric_limits<double>::infinity();

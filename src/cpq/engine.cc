@@ -12,11 +12,6 @@ namespace cpq_internal {
 
 namespace {
 
-/// EXPLAIN level of a node pair: the deeper side (leaves are level 0).
-int PairLevel(int level_p, int level_q) {
-  return level_p > level_q ? level_p : level_q;
-}
-
 // m^(level+1): minimum points in a non-root subtree rooted at `level`.
 uint64_t MinPointsAtLevel(int level, uint64_t min_entries) {
   uint64_t n = 1;
@@ -24,26 +19,25 @@ uint64_t MinPointsAtLevel(int level, uint64_t min_entries) {
   return n;
 }
 
-// M^(level+1): maximum points in a subtree rooted at `level` (saturating:
-// the product overflows quickly and only upper-bounds a capacity).
+}  // namespace
+
 uint64_t MaxPointsAtLevel(int level, uint64_t max_entries) {
   uint64_t n = 1;
   for (int i = 0; i <= level; ++i) n = SaturatingMul(n, max_entries);
   return n;
 }
 
-}  // namespace
-
-uint64_t MinPointsOfNode(const Node& node, uint64_t min_entries) {
-  if (node.IsLeaf()) return node.entries.size();
+uint64_t MinPointsOfNode(const NodeImage& node, uint64_t min_entries) {
+  if (node.IsLeaf()) return node.entries().size();
   // Each child is a non-root subtree at node.level - 1.
-  return node.entries.size() * MinPointsAtLevel(node.level - 1, min_entries);
+  return node.entries().size() *
+         MinPointsAtLevel(node.level() - 1, min_entries);
 }
 
-uint64_t MaxPointsOfNode(const Node& node, uint64_t max_entries) {
-  if (node.IsLeaf()) return node.entries.size();
-  return SaturatingMul(node.entries.size(),
-                       MaxPointsAtLevel(node.level - 1, max_entries));
+uint64_t MaxPointsOfNode(const NodeImage& node, uint64_t max_entries) {
+  if (node.IsLeaf()) return node.entries().size();
+  return SaturatingMul(node.entries().size(),
+                       MaxPointsAtLevel(node.level() - 1, max_entries));
 }
 
 DescendChoice ChooseDescend(int level_p, int level_q,
@@ -245,41 +239,46 @@ bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
   return stop_ != StopCause::kNone;
 }
 
-Status CpqEngine::ReadPair(NodeRef* ref_p, NodeRef* ref_q, Node* node_p,
-                           Node* node_q) {
+Status CpqEngine::ReadPair(NodeRef* ref_p, NodeRef* ref_q,
+                           NodeImagePtr* node_p, NodeImagePtr* node_q) {
   QueryContext* read_ctx = accounting_ ? context_ : nullptr;
   KCPQ_RETURN_IF_ERROR(tree_p_.ReadNode(ref_p->page, node_p, read_ctx));
   KCPQ_RETURN_IF_ERROR(tree_q_.ReadNode(ref_q->page, node_q, read_ctx));
+  OnPairRead(ref_p, ref_q, **node_p, **node_q);
+  return Status::OK();
+}
+
+void CpqEngine::OnPairRead(NodeRef* ref_p, NodeRef* ref_q,
+                           const NodeImage& node_p, const NodeImage& node_q) {
   ++stats_->node_pairs_processed;
   node_accesses_ += 2;
   // Refresh the refs with exact facts from the pages (roots start with
   // placeholder min_points; fixed nodes get tighter counts).
-  ref_p->level = node_p->level;
-  ref_q->level = node_q->level;
-  ref_p->mbr = node_p->ComputeMbr();
-  ref_q->mbr = node_q->ComputeMbr();
-  ref_p->min_points = MinPointsOfNode(*node_p, tree_p_.min_entries());
-  ref_q->min_points = MinPointsOfNode(*node_q, tree_q_.min_entries());
-  ref_p->max_points = MaxPointsOfNode(*node_p, tree_p_.max_entries());
-  ref_q->max_points = MaxPointsOfNode(*node_q, tree_q_.max_entries());
+  ref_p->level = node_p.level();
+  ref_q->level = node_q.level();
+  ref_p->mbr = node_p.mbr();
+  ref_q->mbr = node_q.mbr();
+  ref_p->min_points = MinPointsOfNode(node_p, tree_p_.min_entries());
+  ref_q->min_points = MinPointsOfNode(node_q, tree_q_.min_entries());
+  ref_p->max_points = MaxPointsOfNode(node_p, tree_p_.max_entries());
+  ref_q->max_points = MaxPointsOfNode(node_q, tree_q_.max_entries());
   if (profile_ != nullptr) {
-    profile_->Visited(PairLevel(node_p->level, node_q->level), 1);
+    profile_->Visited(PairLevel(node_p.level(), node_q.level()), 1);
   }
   if (trace_ != nullptr) {
     obs::TraceEvent e;
     e.kind = obs::TraceEventKind::kDescend;
-    e.level_p = static_cast<int16_t>(node_p->level);
-    e.level_q = static_cast<int16_t>(node_q->level);
+    e.level_p = static_cast<int16_t>(node_p.level());
+    e.level_q = static_cast<int16_t>(node_q.level());
     e.bound = bound_;
     e.a = ref_p->page;
     e.b = ref_q->page;
     trace_->RecordNow(e);
   }
-  return Status::OK();
 }
 
-void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
-                              bool same_node) {
+void CpqEngine::ProcessLeaves(const NodeImage& node_p,
+                              const NodeImage& node_q, bool same_node) {
   // Leaf entries are degenerate rects for point data and real boxes for
   // extended objects; the object distance is MINMINDIST of the rects
   // (which collapses to the point distance for points), reported via a
@@ -325,16 +324,15 @@ void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
     // reject above — identical results, fewer distance computations. The
     // bound is re-read per skip test, so pairs offered early in this very
     // sweep tighten it for the rest.
-    const uint64_t total =
-        static_cast<uint64_t>(node_p.entries.size()) * node_q.entries.size();
-    const uint64_t visited = PlaneSweepPairs(
-        node_p.entries, node_q.entries, options_.metric, /*strict=*/false,
-        &sweep_scratch_, [](const Entry& e) -> const Rect& { return e.rect; },
+    const uint64_t total = static_cast<uint64_t>(node_p.entries().size()) *
+                           node_q.entries().size();
+    const uint64_t visited = SweepNodePairs(
+        node_p, node_q, options_.metric, /*strict=*/false,
         [&] { return results_.Bound(); }, consider);
     stats_->leaf_pairs_skipped += total - visited;
   } else {
-    for (const Entry& ep : node_p.entries) {
-      for (const Entry& eq : node_q.entries) {
+    for (const Entry& ep : node_p.entries()) {
+      for (const Entry& eq : node_q.entries()) {
         consider(ep, eq);
       }
     }
@@ -348,14 +346,16 @@ void CpqEngine::ProcessLeaves(const Node& node_p, const Node& node_q,
     const uint64_t end = trace_->NowNs();
     e.dur_ns = end > kernel_start_ns ? end - kernel_start_ns : 1;
     e.bound = bound_;
-    e.a = node_p.entries.size();
-    e.b = node_q.entries.size();
+    e.a = node_p.entries().size();
+    e.b = node_q.entries().size();
     trace_->Record(e);
   }
 }
 
-void CpqEngine::GenerateCandidates(const NodeRef& ref_p, const Node& node_p,
-                                   const NodeRef& ref_q, const Node& node_q,
+void CpqEngine::GenerateCandidates(const NodeRef& ref_p,
+                                   const NodeImage& node_p,
+                                   const NodeRef& ref_q,
+                                   const NodeImage& node_q,
                                    DescendChoice choice,
                                    std::vector<Candidate>* out) {
   out->clear();
@@ -363,76 +363,124 @@ void CpqEngine::GenerateCandidates(const NodeRef& ref_p, const Node& node_p,
                         choice == DescendChoice::kFirstOnly;
   const bool expand_q = choice == DescendChoice::kBoth ||
                         choice == DescendChoice::kSecondOnly;
+  const int child_level_p = expand_p ? node_p.level() - 1 : node_p.level();
+  const int child_level_q = expand_q ? node_q.level() - 1 : node_q.level();
 
   // The fixed side contributes itself as the single "child".
   const uint64_t child_min_p =
-      MinPointsAtLevel(node_p.level - 1, tree_p_.min_entries());
+      MinPointsAtLevel(node_p.level() - 1, tree_p_.min_entries());
   const uint64_t child_min_q =
-      MinPointsAtLevel(node_q.level - 1, tree_q_.min_entries());
+      MinPointsAtLevel(node_q.level() - 1, tree_q_.min_entries());
   const uint64_t child_max_p =
-      MaxPointsAtLevel(node_p.level - 1, tree_p_.max_entries());
+      MaxPointsAtLevel(node_p.level() - 1, tree_p_.max_entries());
   const uint64_t child_max_q =
-      MaxPointsAtLevel(node_q.level - 1, tree_q_.max_entries());
+      MaxPointsAtLevel(node_q.level() - 1, tree_q_.max_entries());
+  const Entry fixed_p{ref_p.mbr, ref_p.page};
+  const Entry fixed_q{ref_q.mbr, ref_q.page};
+  const std::span<const Entry> side_p =
+      expand_p ? node_p.entries() : std::span<const Entry>(&fixed_p, 1);
+  const std::span<const Entry> side_q =
+      expand_q ? node_q.entries() : std::span<const Entry>(&fixed_q, 1);
 
-  auto make_ref_p = [&](size_t i) {
-    return expand_p ? NodeRef{node_p.entries[i].id, node_p.level - 1,
-                              node_p.entries[i].rect, child_min_p,
-                              child_max_p}
-                    : ref_p;
-  };
-  auto make_ref_q = [&](size_t j) {
-    return expand_q ? NodeRef{node_q.entries[j].id, node_q.level - 1,
-                              node_q.entries[j].rect, child_min_q,
-                              child_max_q}
-                    : ref_q;
-  };
-
-  const size_t np = expand_p ? node_p.entries.size() : 1;
-  const size_t nq = expand_q ? node_q.entries.size() : 1;
-  out->reserve(np * nq);
   const bool score_ties = !options_.tie_chain.empty() &&
                           (options_.algorithm == CpqAlgorithm::kSortedDistances ||
                            options_.algorithm == CpqAlgorithm::kHeap);
-  for (size_t i = 0; i < np; ++i) {
-    const NodeRef cp = make_ref_p(i);
-    // Range-restricted objectives pre-prune subtrees that cannot contain a
-    // qualifying point (MBR strictly outside the query rect). Skipped
-    // children never enter the candidate list, so the EXPLAIN accounting
-    // identity (considered = visited + pruned + deferred) holds as-is.
-    if (!objective_.SubtreeEligible(cp.mbr)) continue;
-    for (size_t j = 0; j < nq; ++j) {
-      const NodeRef cq = make_ref_q(j);
-      if (!objective_.SubtreeEligible(cq.mbr)) continue;
-      // Self-join: when both sides expand the *same* node, the child pairs
-      // (i, j) and (j, i) both arise here and cover the same unordered
-      // object pairs — keep only the page-ordered one (nearly halves the
-      // traversal). Distinct parents already appear in exactly one
-      // orientation, inherited from the ancestor where they split apart.
-      if (options_.self_join && ref_p.page == ref_q.page &&
-          cp.page > cq.page) {
-        continue;
-      }
-      Candidate cand;
-      cand.p = cp;
-      cand.q = cq;
-      cand.key = objective_.NodeKey(cp.mbr, cq.mbr);
-      cand.min_pairs = cp.min_points * cq.min_points;
-      cand.max_pairs = SaturatingMul(cp.max_points, cq.max_points);
-      if (score_ties) {
-        ComputeTieScores(cp.mbr, cq.mbr, options_.tie_chain, tie_context_,
-                         cand.tie);
-      }
-      out->push_back(cand);
+  // Self-join: when both sides expand the *same* node, the child pairs
+  // (i, j) and (j, i) both arise here and cover the same unordered object
+  // pairs — keep only the page-ordered one (nearly halves the traversal).
+  // Distinct parents already appear in exactly one orientation, inherited
+  // from the ancestor where they split apart.
+  const bool same_node = options_.self_join && ref_p.page == ref_q.page;
+  const auto add = [&](const Entry& ep, const Entry& eq) {
+    if (same_node && ep.id > eq.id) return true;
+    Candidate cand;
+    cand.p = expand_p ? NodeRef{ep.id, child_level_p, ep.rect, child_min_p,
+                                child_max_p}
+                      : ref_p;
+    cand.q = expand_q ? NodeRef{eq.id, child_level_q, eq.rect, child_min_q,
+                                child_max_q}
+                      : ref_q;
+    cand.key = objective_.NodeKey(cand.p.mbr, cand.q.mbr);
+    cand.min_pairs = cand.p.min_points * cand.q.min_points;
+    cand.max_pairs = SaturatingMul(cand.p.max_points, cand.q.max_points);
+    if (score_ties) {
+      ComputeTieScores(cand.p.mbr, cand.q.mbr, options_.tie_chain,
+                       tie_context_, cand.tie);
     }
+    out->push_back(cand);
+    return true;
+  };
+
+  // Range-restricted objectives pre-prune subtrees that cannot contain a
+  // qualifying point (MBR strictly outside the query rect). Skipped
+  // children never enter the candidate list, so the EXPLAIN accounting
+  // identity (considered = visited + pruned + deferred) holds as-is.
+  uint64_t considered = 0;
+  if (SweepsCandidates()) {
+    // A pair whose axis gap alone exceeds T is never built: its key (>=
+    // the gap) would fail the `key > T` prune test, and it cannot lower T
+    // either — its MINMAXDIST and MAXMAXDIST are >= the gap too
+    // (docs/algorithms.md). It still counts as considered and pruned.
+    static constexpr uint32_t kOnlyEntry[] = {0};
+    const int axis = SweepAxis(ref_p.mbr, ref_q.mbr);
+    const auto side = [&](const NodeImage& node, bool expand,
+                          const Entry& fixed, std::vector<uint32_t>* kept) {
+      const SortedEntries all =
+          expand ? SortedBy(node, axis) : SortedEntries{&fixed, kOnlyEntry};
+      if (!objective_.restricted()) return all;
+      kept->clear();
+      for (const uint32_t i : all.order) {
+        if (objective_.SubtreeEligible(all.entries[i].rect)) kept->push_back(i);
+      }
+      return SortedEntries{all.entries, *kept};
+    };
+    const SortedEntries sweep_p =
+        side(node_p, expand_p, fixed_p, &eligible_p_);
+    const SortedEntries sweep_q =
+        same_node ? sweep_p : side(node_q, expand_q, fixed_q, &eligible_q_);
+    // A node's children have distinct pages, so a same-node expansion
+    // keeps the n (n + 1) / 2 page-ordered pairs.
+    const uint64_t np = sweep_p.size();
+    considered = same_node ? np * (np + 1) / 2 : np * sweep_q.size();
+    PlaneSweepPairs(sweep_p, sweep_q, axis, options_.metric, /*strict=*/true,
+                    EntryRect, [this] { return bound_; }, add);
+    if (considered > out->size()) {
+      NotePruned(child_level_p, child_level_q, bound_,
+                 considered - out->size());
+    }
+  } else {
+    out->reserve(side_p.size() * side_q.size());
+    for (const Entry& ep : side_p) {
+      if (!objective_.SubtreeEligible(ep.rect)) continue;
+      for (const Entry& eq : side_q) {
+        if (objective_.SubtreeEligible(eq.rect)) add(ep, eq);
+      }
+    }
+    considered = out->size();
   }
-  stats_->candidate_pairs_generated += out->size();
+  stats_->candidate_pairs_generated += considered;
   if (profile_ != nullptr) {
     // All candidates of one expansion share their level: each expanded
     // side steps down one level, a fixed side stays.
-    profile_->Considered(
-        PairLevel(expand_p ? node_p.level - 1 : node_p.level,
-                  expand_q ? node_q.level - 1 : node_q.level),
-        out->size());
+    profile_->Considered(PairLevel(child_level_p, child_level_q), considered);
+  }
+}
+
+void CpqEngine::NotePruned(int level_p, int level_q, double key,
+                           uint64_t count) {
+  stats_->candidate_pairs_pruned += count;
+  if (profile_ != nullptr) {
+    profile_->PrunedIneq1(PairLevel(level_p, level_q), count);
+  }
+  if (trace_ != nullptr) {
+    obs::TraceEvent e;
+    e.kind = obs::TraceEventKind::kPrune;
+    e.level_p = static_cast<int16_t>(level_p);
+    e.level_q = static_cast<int16_t>(level_q);
+    e.value = key;
+    e.bound = bound_;
+    e.a = count;
+    trace_->RecordNow(e);
   }
 }
 
@@ -480,6 +528,62 @@ void CpqEngine::TightenBoundFromCandidates(
   }
 }
 
+size_t CpqEngine::ExpandRecursive(const NodeRef& ref_p,
+                                  const NodeImage& node_p,
+                                  const NodeRef& ref_q,
+                                  const NodeImage& node_q,
+                                  DescendChoice choice,
+                                  std::vector<Candidate>* candidates) {
+  GenerateCandidates(ref_p, node_p, ref_q, node_q, choice, candidates);
+  if (TightensBound()) {
+    TightenBoundFromCandidates(*candidates);
+    NoteBoundImprovement();
+  }
+  if (options_.algorithm == CpqAlgorithm::kSortedDistances) {
+    std::sort(candidates->begin(), candidates->end(), CandidateLess());
+  }
+  if (!prefetch_.enabled() || candidates->empty()) return 0;
+  // Speculate on the first W surviving candidates — for STD this is the
+  // exact descend order; for the unsorted algorithms it is generation
+  // order, which is still the processing order of this frame.
+  prefetch_.Clear();
+  size_t added = 0;
+  for (const Candidate& cand : *candidates) {
+    if (added >= prefetch_.window()) break;
+    if (Prunes() && cand.key > bound_) continue;
+    prefetch_.Add(cand.key, cand.p.page, cand.q.page);
+    ++added;
+  }
+  return prefetch_.Issue();
+}
+
+void CpqEngine::ExpandHeap(const NodeRef& ref_p, const NodeImage& node_p,
+                           const NodeRef& ref_q, const NodeImage& node_q,
+                           DescendChoice choice,
+                           std::vector<Candidate>* scratch,
+                           std::vector<Candidate>* heap) {
+  GenerateCandidates(ref_p, node_p, ref_q, node_q, choice, scratch);
+  TightenBoundFromCandidates(*scratch);
+  NoteBoundImprovement();
+  for (const Candidate& cand : *scratch) {
+    if (cand.key > bound_) {
+      NotePruned(cand.p.level, cand.q.level, cand.key, 1);
+      continue;
+    }
+    if (trace_ != nullptr) {
+      obs::TraceEvent e;
+      e.kind = obs::TraceEventKind::kHeapPush;
+      e.level_p = static_cast<int16_t>(cand.p.level);
+      e.level_q = static_cast<int16_t>(cand.q.level);
+      e.value = cand.key;
+      e.bound = bound_;
+      trace_->RecordNow(e);
+    }
+    heap->push_back(cand);
+    std::push_heap(heap->begin(), heap->end(), CandidateGreater());
+  }
+}
+
 Status CpqEngine::ProcessPairRecursive(const NodeRef& ref_p,
                                        const NodeRef& ref_q) {
   // Stop check at node-pair granularity, *before* the reads: a stopped
@@ -495,7 +599,7 @@ Status CpqEngine::ProcessPairRecursive(const NodeRef& ref_p,
 
   NodeRef p = ref_p;
   NodeRef q = ref_q;
-  Node node_p, node_q;
+  NodeImagePtr node_p, node_q;
   const Status read_status = ReadPair(&p, &q, &node_p, &node_q);
   if (read_status.code() == StatusCode::kDeadlineExceeded) {
     // The storage stack abandoned a retry the deadline could not cover.
@@ -512,56 +616,22 @@ Status CpqEngine::ProcessPairRecursive(const NodeRef& ref_p,
   KCPQ_RETURN_IF_ERROR(read_status);
 
   const DescendChoice choice =
-      ChooseDescend(node_p.level, node_q.level, options_.height_strategy);
+      ChooseDescend(node_p->level(), node_q->level(), options_.height_strategy);
   if (choice == DescendChoice::kLeaves) {
-    ProcessLeaves(node_p, node_q, p.page == q.page);
+    ProcessLeaves(*node_p, *node_q, p.page == q.page);
     return Status::OK();
   }
 
   std::vector<Candidate> candidates;
-  GenerateCandidates(p, node_p, q, node_q, choice, &candidates);
-  if (TightensBound()) {
-    TightenBoundFromCandidates(candidates);
-    NoteBoundImprovement();
-  }
+  ExpandRecursive(p, *node_p, q, *node_q, choice, &candidates);
   const uint64_t frame_bytes = candidates.size() * sizeof(Candidate);
   candidate_bytes_ += frame_bytes;
-
-  if (options_.algorithm == CpqAlgorithm::kSortedDistances) {
-    std::sort(candidates.begin(), candidates.end(), CandidateLess());
-  }
-  if (prefetch_.enabled() && !candidates.empty()) {
-    // Speculate on the first W surviving candidates — for STD this is the
-    // exact descend order; for the unsorted algorithms it is generation
-    // order, which is still the processing order of this frame.
-    prefetch_.Clear();
-    size_t added = 0;
-    for (const Candidate& cand : candidates) {
-      if (added >= prefetch_.window()) break;
-      if (Prunes() && cand.key > bound_) continue;
-      prefetch_.Add(cand.key, cand.p.page, cand.q.page);
-      ++added;
-    }
-    prefetch_.Issue();
-  }
   for (const Candidate& cand : candidates) {
     // Re-test against T at descend time: T may have tightened while the
     // earlier candidates of this very list were processed (the mechanism
     // that makes the ascending-MINMINDIST order pay off).
     if (Prunes() && cand.key > bound_) {
-      ++stats_->candidate_pairs_pruned;
-      if (profile_ != nullptr) {
-        profile_->PrunedIneq1(PairLevel(cand.p.level, cand.q.level), 1);
-      }
-      if (trace_ != nullptr) {
-        obs::TraceEvent e;
-        e.kind = obs::TraceEventKind::kPrune;
-        e.level_p = static_cast<int16_t>(cand.p.level);
-        e.level_q = static_cast<int16_t>(cand.q.level);
-        e.value = cand.key;
-        e.bound = bound_;
-        trace_->RecordNow(e);
-      }
+      NotePruned(cand.p.level, cand.q.level, cand.key, 1);
       continue;
     }
     // Once stopped (possibly by a deeper recursion), drain: the remaining
@@ -590,11 +660,6 @@ Status CpqEngine::RunHeap(const NodeRef& root_p, const NodeRef& root_q) {
   // the pop order is bit-identical to the previous implementation — which
   // exposes the underlying array: the prefetch scheduler peeks at the
   // frontier's best pairs without disturbing the heap.
-  struct CandidateGreater {
-    bool operator()(const Candidate& a, const Candidate& b) const {
-      return CandidateLess()(b, a);
-    }
-  };
   const CandidateGreater heap_order{};
   std::vector<Candidate> heap;
 
@@ -695,7 +760,7 @@ Status CpqEngine::RunHeap(const NodeRef& root_p, const NodeRef& root_q) {
 
     NodeRef p = top.p;
     NodeRef q = top.q;
-    Node node_p, node_q;
+    NodeImagePtr node_p, node_q;
     const Status read_status = ReadPair(&p, &q, &node_p, &node_q);
     if (read_status.code() == StatusCode::kDeadlineExceeded) {
       stop_ = StopCause::kDeadline;
@@ -704,44 +769,13 @@ Status CpqEngine::RunHeap(const NodeRef& root_p, const NodeRef& root_q) {
     }
     KCPQ_RETURN_IF_ERROR(read_status);
 
-    const DescendChoice choice =
-        ChooseDescend(node_p.level, node_q.level, options_.height_strategy);
+    const DescendChoice choice = ChooseDescend(
+        node_p->level(), node_q->level(), options_.height_strategy);
     if (choice == DescendChoice::kLeaves) {
-      ProcessLeaves(node_p, node_q, p.page == q.page);
+      ProcessLeaves(*node_p, *node_q, p.page == q.page);
       continue;
     }
-    GenerateCandidates(p, node_p, q, node_q, choice, &candidates);
-    TightenBoundFromCandidates(candidates);
-    NoteBoundImprovement();
-    for (const Candidate& cand : candidates) {
-      if (cand.key > bound_) {
-        ++stats_->candidate_pairs_pruned;
-        if (profile_ != nullptr) {
-          profile_->PrunedIneq1(PairLevel(cand.p.level, cand.q.level), 1);
-        }
-        if (trace_ != nullptr) {
-          obs::TraceEvent e;
-          e.kind = obs::TraceEventKind::kPrune;
-          e.level_p = static_cast<int16_t>(cand.p.level);
-          e.level_q = static_cast<int16_t>(cand.q.level);
-          e.value = cand.key;
-          e.bound = bound_;
-          trace_->RecordNow(e);
-        }
-        continue;
-      }
-      if (trace_ != nullptr) {
-        obs::TraceEvent e;
-        e.kind = obs::TraceEventKind::kHeapPush;
-        e.level_p = static_cast<int16_t>(cand.p.level);
-        e.level_q = static_cast<int16_t>(cand.q.level);
-        e.value = cand.key;
-        e.bound = bound_;
-        trace_->RecordNow(e);
-      }
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), heap_order);
-    }
+    ExpandHeap(p, *node_p, q, *node_q, choice, &candidates, &heap);
   }
   return Status::OK();
 }

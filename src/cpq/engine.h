@@ -62,6 +62,18 @@ struct CandidateLess {
   }
 };
 
+/// RunHeap's pop order: a min-heap through the reversed CandidateLess.
+struct CandidateGreater {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    return CandidateLess()(b, a);
+  }
+};
+
+/// EXPLAIN level of a node pair: the deeper side (leaves are level 0).
+inline int PairLevel(int level_p, int level_q) {
+  return level_p > level_q ? level_p : level_q;
+}
+
 /// Which side(s) of a node pair to descend (Section 3.7).
 enum class DescendChoice { kBoth, kFirstOnly, kSecondOnly, kLeaves };
 
@@ -78,7 +90,7 @@ class CpqEngine {
  private:
   /// The resumable adapter (cpq/resumable.h) re-drives this engine's
   /// traversal as an explicit state machine; it reuses the kernels
-  /// (ProcessLeaves, GenerateCandidates, ...) and the control state
+  /// (ProcessLeaves, ExpandRecursive, ExpandHeap, ...) and the control state
   /// directly so the two execution modes cannot drift apart.
   friend class ::kcpq::ResumableCpqQuery;
 
@@ -90,17 +102,48 @@ class CpqEngine {
 
   /// Reads both nodes of a pair (two counted accesses) and refreshes the
   /// refs' MBR / min_points from the actual node contents.
-  Status ReadPair(NodeRef* ref_p, NodeRef* ref_q, Node* node_p, Node* node_q);
+  Status ReadPair(NodeRef* ref_p, NodeRef* ref_q, NodeImagePtr* node_p,
+                  NodeImagePtr* node_q);
+
+  /// ReadPair's bookkeeping once both nodes are in hand (shared with the
+  /// resumable adapter, which reads them across parks): counts the pair,
+  /// refreshes the refs and records the visit.
+  void OnPairRead(NodeRef* ref_p, NodeRef* ref_q, const NodeImage& node_p,
+                  const NodeImage& node_q);
 
   /// Brute-force distance scan of two leaves; feeds the result heap and
   /// tightens T. `same_node` drives the self-join duplicate rules.
-  void ProcessLeaves(const Node& node_p, const Node& node_q, bool same_node);
+  void ProcessLeaves(const NodeImage& node_p, const NodeImage& node_q,
+                     bool same_node);
 
   /// Generates the child pairs of (ref_p, ref_q) according to the descend
-  /// choice, with minmin / tie / min_pairs filled in.
-  void GenerateCandidates(const NodeRef& ref_p, const Node& node_p,
-                          const NodeRef& ref_q, const Node& node_q,
+  /// choice, with minmin / tie / min_pairs filled in. HEAP and STD sweep
+  /// the children (SweepsCandidates) and never build a pair whose axis gap
+  /// alone exceeds T: it counts as generated and pruned right here.
+  void GenerateCandidates(const NodeRef& ref_p, const NodeImage& node_p,
+                          const NodeRef& ref_q, const NodeImage& node_q,
                           DescendChoice choice, std::vector<Candidate>* out);
+
+  /// Expansion step of the recursive drivers (kExhaustive / kSimple /
+  /// kSortedDistances / kNaive): generates the pair's candidates, tightens
+  /// T, orders them (STD) and speculates on the first survivors. Returns
+  /// the number of speculative reads issued.
+  size_t ExpandRecursive(const NodeRef& ref_p, const NodeImage& node_p,
+                         const NodeRef& ref_q, const NodeImage& node_q,
+                         DescendChoice choice,
+                         std::vector<Candidate>* candidates);
+
+  /// Expansion step of the heap driver: generates the pair's candidates
+  /// into `scratch`, tightens T and pushes the survivors onto `heap`.
+  void ExpandHeap(const NodeRef& ref_p, const NodeImage& node_p,
+                  const NodeRef& ref_q, const NodeImage& node_q,
+                  DescendChoice choice, std::vector<Candidate>* scratch,
+                  std::vector<Candidate>* heap);
+
+  /// Counts `count` candidates cut by Inequality 1 (key > T) at `level_p`
+  /// / `level_q`; `key` is the cut candidate's key, or for a group of
+  /// sweep-skipped pairs the bound they exceeded.
+  void NotePruned(int level_p, int level_q, double key, uint64_t count);
 
   /// Tightens T from Inequality-2-style guarantees over `candidates`.
   /// Minimizing: MINMAXDIST for K = 1, MAXMAXDIST count accumulation for
@@ -134,6 +177,17 @@ class CpqEngine {
   /// the query-summary trace event.
   void FinalizeQualityAndTrace();
 
+  /// True when candidate generation sweeps child pairs. Only for the
+  /// algorithms whose visit order is a strict total order on the
+  /// candidates (kHeap pops by CandidateLess, kSortedDistances sorts by
+  /// it), so generation order cannot change them, and only for
+  /// minimizing objectives (the axis gap must lower-bound the key).
+  bool SweepsCandidates() const {
+    return (options_.algorithm == CpqAlgorithm::kHeap ||
+            options_.algorithm == CpqAlgorithm::kSortedDistances) &&
+           objective_.SweepUsable();
+  }
+
   /// True for algorithms that prune with MINMINDIST (all but kNaive).
   bool Prunes() const { return options_.algorithm != CpqAlgorithm::kNaive; }
   /// True for algorithms that tighten T beyond found pairs.
@@ -164,8 +218,9 @@ class CpqEngine {
   /// Scratch for the capacity accumulation of TightenBoundFromCandidates
   /// (avoids reallocating per node).
   std::vector<std::pair<double, uint64_t>> maxmax_scratch_;
-  /// Sorted-copy buffers for the plane-sweep leaf kernel.
-  SweepScratch<Entry> sweep_scratch_;
+  /// Sweep orders of the rect-eligible children (kRangeClosest only).
+  std::vector<uint32_t> eligible_p_;
+  std::vector<uint32_t> eligible_q_;
   /// Speculative reads for the frontier's best pairs (disabled unless
   /// options.prefetch_window > 0; see cpq/prefetch.h).
   PrefetchScheduler prefetch_;
@@ -203,11 +258,15 @@ class CpqEngine {
   double reported_bound_ = std::numeric_limits<double>::infinity();
 };
 
+/// M^(level+1): saturating upper bound on points in a subtree rooted at
+/// `level`; level -1 (a leaf's entry) is a single point.
+uint64_t MaxPointsAtLevel(int level, uint64_t max_entries);
+
 /// Lower bound on points under a node that has been read.
-uint64_t MinPointsOfNode(const Node& node, uint64_t min_entries);
+uint64_t MinPointsOfNode(const NodeImage& node, uint64_t min_entries);
 
 /// Upper bound on points under a node that has been read (saturating).
-uint64_t MaxPointsOfNode(const Node& node, uint64_t max_entries);
+uint64_t MaxPointsOfNode(const NodeImage& node, uint64_t max_entries);
 
 }  // namespace cpq_internal
 }  // namespace kcpq

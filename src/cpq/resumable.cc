@@ -12,29 +12,15 @@
 namespace kcpq {
 
 using cpq_internal::Candidate;
+using cpq_internal::CandidateGreater;
 using cpq_internal::CandidateLess;
 using cpq_internal::ChooseDescend;
 using cpq_internal::CpqEngine;
 using cpq_internal::DescendChoice;
-using cpq_internal::MaxPointsOfNode;
-using cpq_internal::MinPointsOfNode;
 using cpq_internal::NodeRef;
+using cpq_internal::PairLevel;
 
 namespace {
-
-// Mirrors engine.cc's file-local helpers (the values must match; both are
-// one-liners over public facts, so duplication beats widening the engine's
-// internal surface).
-int PairLevel(int level_p, int level_q) {
-  return level_p > level_q ? level_p : level_q;
-}
-
-// RunHeap's pop order (min-heap via reversed CandidateLess).
-struct CandidateGreater {
-  bool operator()(const Candidate& a, const Candidate& b) const {
-    return CandidateLess()(b, a);
-  }
-};
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
                    std::chrono::steady_clock::time_point to) {
@@ -133,7 +119,7 @@ bool ResumableCpqQuery::ReadRoot(bool is_p, StepResult* parked) {
     return false;
   }
   CountRead(outcome, is_p);
-  (is_p ? mbr_p_ : mbr_q_) = node_p_.ComputeMbr();
+  (is_p ? mbr_p_ : mbr_q_) = node_p_->mbr();
   phase_ = is_p ? Phase::kReadRootQ : Phase::kSeed;
   return true;
 }
@@ -205,30 +191,8 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
     have_q_ = true;
   }
   // Both nodes resident: the pair counts exactly once, no matter how many
-  // parks interleaved — identical to the blocking ReadPair epilogue.
-  ++e.stats_->node_pairs_processed;
-  e.node_accesses_ += 2;
-  cur_p_.level = node_p_.level;
-  cur_q_.level = node_q_.level;
-  cur_p_.mbr = node_p_.ComputeMbr();
-  cur_q_.mbr = node_q_.ComputeMbr();
-  cur_p_.min_points = MinPointsOfNode(node_p_, e.tree_p_.min_entries());
-  cur_q_.min_points = MinPointsOfNode(node_q_, e.tree_q_.min_entries());
-  cur_p_.max_points = MaxPointsOfNode(node_p_, e.tree_p_.max_entries());
-  cur_q_.max_points = MaxPointsOfNode(node_q_, e.tree_q_.max_entries());
-  if (e.profile_ != nullptr) {
-    e.profile_->Visited(PairLevel(node_p_.level, node_q_.level), 1);
-  }
-  if (e.trace_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.kind = obs::TraceEventKind::kDescend;
-    ev.level_p = static_cast<int16_t>(node_p_.level);
-    ev.level_q = static_cast<int16_t>(node_q_.level);
-    ev.bound = e.bound_;
-    ev.a = cur_p_.page;
-    ev.b = cur_q_.page;
-    e.trace_->RecordNow(ev);
-  }
+  // parks interleaved — the blocking ReadPair's own epilogue.
+  e.OnPairRead(&cur_p_, &cur_q_, *node_p_, *node_q_);
   return ReadPairOutcome::kOk;
 }
 
@@ -243,19 +207,7 @@ void ResumableCpqQuery::AdvanceRecursive() {
     }
     const Candidate& cand = f.candidates[f.next++];
     if (e.Prunes() && cand.key > e.bound_) {
-      ++e.stats_->candidate_pairs_pruned;
-      if (e.profile_ != nullptr) {
-        e.profile_->PrunedIneq1(PairLevel(cand.p.level, cand.q.level), 1);
-      }
-      if (e.trace_ != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::TraceEventKind::kPrune;
-        ev.level_p = static_cast<int16_t>(cand.p.level);
-        ev.level_q = static_cast<int16_t>(cand.q.level);
-        ev.value = cand.key;
-        ev.bound = e.bound_;
-        e.trace_->RecordNow(ev);
-      }
+      e.NotePruned(cand.p.level, cand.q.level, cand.key, 1);
       continue;
     }
     if (e.stop_ != StopCause::kNone) {
@@ -434,37 +386,18 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
           continue;
         }
         const DescendChoice choice = ChooseDescend(
-            node_p_.level, node_q_.level, options_.height_strategy);
+            node_p_->level(), node_q_->level(), options_.height_strategy);
         if (choice == DescendChoice::kLeaves) {
-          e.ProcessLeaves(node_p_, node_q_, cur_p_.page == cur_q_.page);
+          e.ProcessLeaves(*node_p_, *node_q_, cur_p_.page == cur_q_.page);
           AdvanceRecursive();
           continue;
         }
         rec_stack_.emplace_back();
         RecFrame& f = rec_stack_.back();
-        e.GenerateCandidates(cur_p_, node_p_, cur_q_, node_q_, choice,
-                             &f.candidates);
-        if (e.TightensBound()) {
-          e.TightenBoundFromCandidates(f.candidates);
-          e.NoteBoundImprovement();
-        }
+        prefetch_issued_ += e.ExpandRecursive(cur_p_, *node_p_, cur_q_,
+                                              *node_q_, choice, &f.candidates);
         f.frame_bytes = f.candidates.size() * sizeof(Candidate);
         e.candidate_bytes_ += f.frame_bytes;
-        if (options_.algorithm == CpqAlgorithm::kSortedDistances) {
-          std::sort(f.candidates.begin(), f.candidates.end(),
-                    CandidateLess());
-        }
-        if (e.prefetch_.enabled() && !f.candidates.empty()) {
-          e.prefetch_.Clear();
-          size_t added = 0;
-          for (const Candidate& cand : f.candidates) {
-            if (added >= e.prefetch_.window()) break;
-            if (e.Prunes() && cand.key > e.bound_) continue;
-            e.prefetch_.Add(cand.key, cand.p.page, cand.q.page);
-            ++added;
-          }
-          prefetch_issued_ += e.prefetch_.Issue();
-        }
         AdvanceRecursive();
         continue;
       }
@@ -485,46 +418,14 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
           continue;
         }
         const DescendChoice choice = ChooseDescend(
-            node_p_.level, node_q_.level, options_.height_strategy);
+            node_p_->level(), node_q_->level(), options_.height_strategy);
         if (choice == DescendChoice::kLeaves) {
-          e.ProcessLeaves(node_p_, node_q_, cur_p_.page == cur_q_.page);
+          e.ProcessLeaves(*node_p_, *node_q_, cur_p_.page == cur_q_.page);
           phase_ = Phase::kHeapLoop;
           continue;
         }
-        e.GenerateCandidates(cur_p_, node_p_, cur_q_, node_q_, choice,
-                             &candidates_scratch_);
-        e.TightenBoundFromCandidates(candidates_scratch_);
-        e.NoteBoundImprovement();
-        for (const Candidate& cand : candidates_scratch_) {
-          if (cand.key > e.bound_) {
-            ++e.stats_->candidate_pairs_pruned;
-            if (e.profile_ != nullptr) {
-              e.profile_->PrunedIneq1(PairLevel(cand.p.level, cand.q.level),
-                                      1);
-            }
-            if (e.trace_ != nullptr) {
-              obs::TraceEvent ev;
-              ev.kind = obs::TraceEventKind::kPrune;
-              ev.level_p = static_cast<int16_t>(cand.p.level);
-              ev.level_q = static_cast<int16_t>(cand.q.level);
-              ev.value = cand.key;
-              ev.bound = e.bound_;
-              e.trace_->RecordNow(ev);
-            }
-            continue;
-          }
-          if (e.trace_ != nullptr) {
-            obs::TraceEvent ev;
-            ev.kind = obs::TraceEventKind::kHeapPush;
-            ev.level_p = static_cast<int16_t>(cand.p.level);
-            ev.level_q = static_cast<int16_t>(cand.q.level);
-            ev.value = cand.key;
-            ev.bound = e.bound_;
-            e.trace_->RecordNow(ev);
-          }
-          heap_.push_back(cand);
-          std::push_heap(heap_.begin(), heap_.end(), CandidateGreater{});
-        }
+        e.ExpandHeap(cur_p_, *node_p_, cur_q_, *node_q_, choice,
+                     &candidates_scratch_, &heap_);
         phase_ = Phase::kHeapLoop;
         continue;
       }

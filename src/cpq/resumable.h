@@ -18,8 +18,8 @@
 // counts to the blocking path. This falls out of three properties:
 //
 //   1. Same kernels. The machine is a friend of CpqEngine and calls the
-//      exact ProcessLeaves / GenerateCandidates / TightenBoundFromCandidates
-//      / ShouldStop / FoldFrontier the blocking drivers call, against the
+//      exact OnPairRead / ProcessLeaves / ExpandRecursive / ExpandHeap /
+//      ShouldStop / FoldFrontier the blocking drivers call, against the
 //      same engine state (bound_, results_, certificate_, ...).
 //   2. Same traversal order. The recursion is an explicit frame stack and
 //      the heap loop pops before yielding, so interleaving with other
@@ -136,7 +136,7 @@ class ResumableCpqQuery final : public ResumableTask {
   Rect mbr_p_, mbr_q_;
   cpq_internal::Candidate pending_;  // pair chosen for expansion, pre-read
   cpq_internal::NodeRef cur_p_, cur_q_;  // refs refreshed by TryReadPair
-  Node node_p_, node_q_;
+  NodeImagePtr node_p_, node_q_;
   bool have_p_ = false, have_q_ = false;
   std::vector<RecFrame> rec_stack_;
   std::vector<cpq_internal::Candidate> heap_;

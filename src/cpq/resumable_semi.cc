@@ -160,17 +160,17 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         if (!s.ok()) return Fail(s);
         CountRead(outcome, /*is_p=*/true);
         stack_.pop_back();
-        if (!node_p_.IsLeaf()) {
+        if (!node_p_->IsLeaf()) {
           // Internal P nodes are read but not charged to node_accesses,
           // exactly like the blocking ScanLeaves traversal.
-          for (const Entry& e : node_p_.entries) stack_.push_back(e.id);
+          for (const Entry& e : node_p_->entries()) stack_.push_back(e.id);
           continue;
         }
         ++node_accesses_;  // the P leaf itself
-        leaf_mbr_ = node_p_.ComputeMbr();
-        best_.assign(node_p_.entries.size(),
+        leaf_mbr_ = node_p_->mbr();
+        best_.assign(node_p_->entries().size(),
                      std::numeric_limits<double>::infinity());
-        best_entry_.assign(node_p_.entries.size(), Entry{});
+        best_entry_.assign(node_p_->entries().size(), Entry{});
         queue_ = decltype(queue_){};
         queue_.push(QueueItem{0.0, tree_q_.root_page()});
         phase_ = Phase::kGroupLoop;
@@ -217,12 +217,12 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         CountRead(outcome, /*is_p=*/false);
         ++stats_->node_pairs_processed;
         ++node_accesses_;
-        if (node_q_.IsLeaf()) {
-          for (const Entry& eq : node_q_.entries) {
-            for (size_t i = 0; i < node_p_.entries.size(); ++i) {
+        if (node_q_->IsLeaf()) {
+          const std::span<const Entry> leaf = node_p_->entries();
+          for (const Entry& eq : node_q_->entries()) {
+            for (size_t i = 0; i < leaf.size(); ++i) {
               ++stats_->point_distance_computations;
-              const double d2 =
-                  MinMinDistSquared(node_p_.entries[i].rect, eq.rect);
+              const double d2 = MinMinDistSquared(leaf[i].rect, eq.rect);
               if (d2 < best_[i]) {
                 best_[i] = d2;
                 best_entry_[i] = eq;
@@ -230,7 +230,7 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
             }
           }
         } else {
-          for (const Entry& eq : node_q_.entries) {
+          for (const Entry& eq : node_q_->entries()) {
             const double key = MinMinDistSquared(leaf_mbr_, eq.rect);
             // Re-test against the worst captured at this pop: later
             // insertions are useless once every point has a closer
@@ -242,12 +242,12 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         continue;
       }
       case Phase::kGroupEmit: {
-        for (size_t i = 0; i < node_p_.entries.size(); ++i) {
+        for (size_t i = 0; i < node_p_->entries().size(); ++i) {
           Point p_witness, q_witness;
-          ClosestPoints(node_p_.entries[i].rect, best_entry_[i].rect,
+          ClosestPoints(node_p_->entries()[i].rect, best_entry_[i].rect,
                         &p_witness, &q_witness);
           out_.push_back(PairResult{p_witness, q_witness,
-                                    node_p_.entries[i].id, best_entry_[i].id,
+                                    node_p_->entries()[i].id, best_entry_[i].id,
                                     std::sqrt(best_[i])});
         }
         phase_ = Phase::kScanRead;

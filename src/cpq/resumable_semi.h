@@ -102,7 +102,7 @@ class ResumableSemiQuery final : public ResumableTask {
   // being read stays on the stack until the read lands, so a park simply
   // re-reads it.
   std::vector<PageId> stack_;
-  Node node_p_, node_q_;
+  NodeImagePtr node_p_, node_q_;
 
   // Group-NN state for the current P leaf.
   Rect leaf_mbr_;

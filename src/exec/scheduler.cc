@@ -29,7 +29,9 @@ constexpr int kDone = 4;     // finished (or never admitted)
 // Shared by the workers and by every waker the factory hands out. Wakers
 // hold a shared_ptr so a stale wake fired after Run returns (e.g. from a
 // post-run buffer drain erasing leftover demand entries) lands on live
-// memory and no-ops against a kDone slot.
+// memory and no-ops against a kDone slot. Each task owns its waker, so a
+// task is destroyed as soon as it finishes (FinishSlot) — otherwise the
+// tasks and this object would keep each other alive forever.
 struct SchedulerImpl {
   explicit SchedulerImpl(size_t count, size_t workers)
       : states(count), tasks(count), ring(count + workers + 1) {}
@@ -140,6 +142,10 @@ struct SchedulerImpl {
 
   void FinishSlot(size_t index, bool ran) {
     if (ran && on_done && *on_done) (*on_done)(index, tasks[index].get());
+    // Free the finished task now: it holds its waker, whose shared_ptr to
+    // this object would otherwise keep every task of the run alive for as
+    // long as any waker survives. Stale wakes only touch states / ring.
+    tasks[index].reset();
     inflight.fetch_sub(1, std::memory_order_relaxed);
     const size_t finished = done_count.fetch_add(1, std::memory_order_acq_rel) + 1;
     // A start slot just freed (or the run ended): rouse a sleeper to claim
@@ -266,6 +272,8 @@ ResumableScheduler::Stats ResumableScheduler::Run(size_t count,
     threads.emplace_back([impl] { impl->WorkerLoop(impl); });
   }
   for (auto& t : threads) t.join();
+  // Every task finished and was freed in FinishSlot; release the slots too.
+  impl->tasks.clear();
 
   stats.parks = impl->parks.load(std::memory_order_relaxed);
   stats.wakes = impl->wakes.load(std::memory_order_relaxed);

@@ -40,9 +40,10 @@ struct Rect {
   bool IsEmpty() const { return lo[0] > hi[0]; }
 
   /// True iff lo <= hi in all dimensions (a real, possibly degenerate box).
+  /// Written as !(lo <= hi) so a NaN coordinate also fails.
   bool IsValid() const {
     for (int d = 0; d < kDims; ++d) {
-      if (lo[d] > hi[d]) return false;
+      if (!(lo[d] <= hi[d])) return false;
     }
     return true;
   }

@@ -106,10 +106,10 @@ class JoinImpl {
   /// enqueues the child pairs and speculates on the nearest ones. Returns
   /// the number of speculative reads issued (the blocking path ignores it;
   /// the resumable path accumulates it into its local issued counter).
-  size_t PushChildrenOneSide(const Node& node, const ItemSide& other,
+  size_t PushChildrenOneSide(const NodeImage& node, const ItemSide& other,
                              bool node_first);
   /// The push half of ExpandBoth.
-  size_t PushChildrenBoth(const Node& node_a, const Node& node_b);
+  size_t PushChildrenBoth(const NodeImage& node_a, const NodeImage& node_b);
 
   /// Resumable Start(): parks on the root reads instead of blocking.
   TryOutcome TryStart(Status* error);
@@ -150,7 +150,6 @@ class JoinImpl {
   /// every family, so the metric is pinned to kL2.
   QueryObjective objective_;
   BoundedKeyHeap<KBoundKey> k_bound_;
-  cpq_internal::SweepScratch<Entry> sweep_scratch_;
   /// Speculative reads for the W nearest children of each expansion
   /// (disabled unless options.prefetch_window > 0; see cpq/prefetch.h).
   cpq_internal::PrefetchScheduler prefetch_;
@@ -175,7 +174,7 @@ class JoinImpl {
   /// root-read scratch).
   QueueItem pending_item_;
   bool have_pending_ = false;
-  Node node_a_, node_b_;
+  NodeImagePtr node_a_, node_b_;
   bool have_a_ = false, have_b_ = false;
   /// Per-query I/O tallies from TryRead outcomes (thread-local buffer
   /// deltas are meaningless when many queries multiplex one worker).
@@ -324,25 +323,25 @@ Status JoinImpl::Start() {
 Status JoinImpl::ExpandOneSide(const RStarTree& tree,
                                const ItemSide& node_side,
                                const ItemSide& other, bool node_first) {
-  Node node;
+  NodeImagePtr node;
   KCPQ_RETURN_IF_ERROR(
       tree.ReadNode(node_side.id, &node, accounting_ ? ctx_ : nullptr));
   ++stats_.node_accesses;
-  PushChildrenOneSide(node, other, node_first);
+  PushChildrenOneSide(*node, other, node_first);
   return Status::OK();
 }
 
-size_t JoinImpl::PushChildrenOneSide(const Node& node, const ItemSide& other,
-                                     bool node_first) {
+size_t JoinImpl::PushChildrenOneSide(const NodeImage& node,
+                                     const ItemSide& other, bool node_first) {
   // Speculate on the node pages of the W nearest children: the queue pops
   // in ascending key order, so the children pushed with the smallest keys
   // are the likeliest next expansions. Children the k_bound already rules
   // out are dropped by PushItem and never speculated on.
   const bool speculate = prefetch_.enabled() && !node.IsLeaf();
   if (speculate) prefetch_.Clear();
-  for (const Entry& entry : node.entries) {
+  for (const Entry& entry : node.entries()) {
     const ItemSide child = node.IsLeaf() ? ObjectSide(entry)
-                                         : NodeSide(entry, node.level - 1);
+                                         : NodeSide(entry, node.level() - 1);
     QueueItem item;
     item.a = node_first ? child : other;
     item.b = node_first ? other : child;
@@ -359,24 +358,25 @@ size_t JoinImpl::PushChildrenOneSide(const Node& node, const ItemSide& other,
 
 Status JoinImpl::ExpandBoth(const ItemSide& a, const ItemSide& b) {
   QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
-  Node node_a, node_b;
+  NodeImagePtr node_a, node_b;
   KCPQ_RETURN_IF_ERROR(tree_p_.ReadNode(a.id, &node_a, read_ctx));
   KCPQ_RETURN_IF_ERROR(tree_q_.ReadNode(b.id, &node_b, read_ctx));
   stats_.node_accesses += 2;
-  PushChildrenBoth(node_a, node_b);
+  PushChildrenBoth(*node_a, *node_b);
   return Status::OK();
 }
 
-size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
+size_t JoinImpl::PushChildrenBoth(const NodeImage& node_a,
+                                  const NodeImage& node_b) {
   // Leaf/leaf expansions produce only object pairs — nothing to read ahead.
   const bool speculate =
       prefetch_.enabled() && !(node_a.IsLeaf() && node_b.IsLeaf());
   if (speculate) prefetch_.Clear();
   const auto push_pair = [&](const Entry& ea, const Entry& eb) {
     const ItemSide ca = node_a.IsLeaf() ? ObjectSide(ea)
-                                        : NodeSide(ea, node_a.level - 1);
+                                        : NodeSide(ea, node_a.level() - 1);
     const ItemSide cb = node_b.IsLeaf() ? ObjectSide(eb)
-                                        : NodeSide(eb, node_b.level - 1);
+                                        : NodeSide(eb, node_b.level() - 1);
     QueueItem item;
     item.a = ca;
     item.b = cb;
@@ -399,14 +399,13 @@ size_t JoinImpl::PushChildrenBoth(const Node& node_a, const Node& node_b) {
     // would fail PushItem's `key > Bound()` drop. The bound is re-read each
     // skip test: object pairs pushed earlier in this sweep tighten it. The
     // join's keys are L2-only (KeyOf), hence kL2 here.
-    cpq_internal::PlaneSweepPairs(
-        node_a.entries, node_b.entries, Metric::kL2, /*strict=*/true,
-        &sweep_scratch_, [](const Entry& e) -> const Rect& { return e.rect; },
-        [&] { return k_bound_.Bound(); }, push_pair);
+    cpq_internal::SweepNodePairs(node_a, node_b, Metric::kL2,
+                                 /*strict=*/true,
+                                 [&] { return k_bound_.Bound(); }, push_pair);
     return 0;
   }
-  for (const Entry& ea : node_a.entries) {
-    for (const Entry& eb : node_b.entries) {
+  for (const Entry& ea : node_a.entries()) {
+    for (const Entry& eb : node_b.entries()) {
       push_pair(ea, eb);
     }
   }
@@ -578,7 +577,7 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
       return TryOutcome::kError;
     }
     CountRead(outcome, /*is_p=*/true);
-    root_mbr_p_ = node_a_.ComputeMbr();
+    root_mbr_p_ = node_a_->mbr();
     root_stage_ = 2;
   }
   if (root_stage_ == 2) {
@@ -603,7 +602,7 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
     QueueItem item;
     item.a =
         ItemSide{true, root_mbr_p_, tree_p_.root_page(), tree_p_.height() - 1};
-    item.b = ItemSide{true, node_a_.ComputeMbr(), tree_q_.root_page(),
+    item.b = ItemSide{true, node_a_->mbr(), tree_q_.root_page(),
                       tree_q_.height() - 1};
     item.key = KeyOf(item.a, item.b);
     item.tie_level = TieLevelOf(item.a, item.b);
@@ -659,7 +658,7 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     // Both nodes resident: the expansion's bookkeeping and pushes run
     // exactly once, identical to the blocking ExpandBoth.
     stats_.node_accesses += 2;
-    prefetch_issued_local_ += PushChildrenBoth(node_a_, node_b_);
+    prefetch_issued_local_ += PushChildrenBoth(*node_a_, *node_b_);
     return TryOutcome::kOk;
   }
 
@@ -712,7 +711,7 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     have_a_ = true;
   }
   ++stats_.node_accesses;
-  prefetch_issued_local_ += PushChildrenOneSide(node_a_, *other, node_first);
+  prefetch_issued_local_ += PushChildrenOneSide(*node_a_, *other, node_first);
   return TryOutcome::kOk;
 }
 

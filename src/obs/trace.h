@@ -24,7 +24,9 @@ enum class TraceEventKind : uint8_t {
   kDescend,         // node pair expanded; a/b = child page ids
   kHeapPush,        // candidate pushed; value = MINMINDIST, bound = T
   kHeapPop,         // candidate popped; value = MINMINDIST, bound = T
-  kPrune,           // candidate pruned (Inequality 1); value = MINMINDIST
+  kPrune,           // candidates pruned (Inequality 1); a = how many,
+                    // value = MINMINDIST of the one, or for a group the
+                    // sweep never built the bound T their axis gap beat
   kLeafKernel,      // leaf pair processed; a/b = point counts
   kIoWait,          // physical page read; a = page id, dur = wait
   kRetry,           // transient-fault retry attempt; a = attempt number

@@ -1,7 +1,12 @@
 #include "rtree/node.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <new>
+#include <numeric>
 #include <string>
+#include <type_traits>
 
 namespace kcpq {
 
@@ -30,6 +35,72 @@ int32_t GetI32(const uint8_t* src) {
   return v;
 }
 
+/// Storage unit of an image's single allocation, aligned for every part.
+struct alignas(std::max_align_t) ImageWord {
+  unsigned char bytes[alignof(std::max_align_t)];
+};
+
+constexpr size_t AlignUp(size_t n, size_t align) {
+  return (n + align - 1) / align * align;
+}
+
+// The allocation is released as an array of ImageWord, without running
+// any destructor of the objects placed in it.
+static_assert(std::is_trivially_destructible_v<NodeImage> &&
+              std::is_trivially_destructible_v<Entry>);
+
+// The one validation point for node pages: every decode (an image or a
+// mutable Node) reads the header and the entries through these two.
+Status ReadHeader(const Page& page, int32_t* level, size_t* count) {
+  if (page.size() < kNodeHeaderSize) {
+    return Status::Corruption("page shorter than a node header");
+  }
+  const uint8_t* base = page.data();
+  *level = GetI32(base + 0);
+  const int32_t n = GetI32(base + 4);
+  if (*level < 0 || *level > kMaxLevel) {
+    return Status::Corruption("node level out of range");
+  }
+  if (n < 0 || static_cast<size_t>(n) > NodeCapacity(page.size())) {
+    return Status::Corruption("node entry count out of range");
+  }
+  *count = static_cast<size_t>(n);
+  return Status::OK();
+}
+
+Status ReadEntry(const Page& page, size_t i, Entry* e) {
+  const uint8_t* p = page.data() + kNodeHeaderSize + i * kEntrySize;
+  for (int d = 0; d < kDims; ++d) {
+    e->rect.lo[d] = GetF64(p + d * 8);
+    e->rect.hi[d] = GetF64(p + (kDims + d) * 8);
+  }
+  e->id = GetU64(p + 2 * kDims * 8);
+  if (!e->rect.IsValid()) {
+    return Status::Corruption("entry rect with lo > hi or a NaN");
+  }
+  return Status::OK();
+}
+
+// The on-page layout; callers have checked the level and the count.
+void WriteNodePage(int32_t level, std::span<const Entry> entries,
+                   Page* page) {
+  page->Clear();
+  uint8_t* base = page->data();
+  PutI32(base + 0, level);
+  PutI32(base + 4, static_cast<int32_t>(entries.size()));
+  PutU64(base + 8, 0);
+  uint8_t* p = base + kNodeHeaderSize;
+  for (const Entry& e : entries) {
+    for (int d = 0; d < kDims; ++d) {
+      PutF64(p + d * 8, e.rect.lo[d]);
+      PutF64(p + (kDims + d) * 8, e.rect.hi[d]);
+    }
+    PutU64(p + 2 * kDims * 8, e.id);
+    PutU64(p + 2 * kDims * 8 + 8, 0);
+    p += kEntrySize;
+  }
+}
+
 }  // namespace
 
 Status SerializeNode(const Node& node, Page* page) {
@@ -42,51 +113,57 @@ Status SerializeNode(const Node& node, Page* page) {
   if (node.level < 0 || node.level > kMaxLevel) {
     return Status::InvalidArgument("bad node level");
   }
-  page->Clear();
-  uint8_t* base = page->data();
-  PutI32(base + 0, node.level);
-  PutI32(base + 4, static_cast<int32_t>(node.entries.size()));
-  PutU64(base + 8, 0);
-  uint8_t* p = base + kNodeHeaderSize;
-  for (const Entry& e : node.entries) {
-    for (int d = 0; d < kDims; ++d) {
-      PutF64(p + d * 8, e.rect.lo[d]);
-      PutF64(p + (kDims + d) * 8, e.rect.hi[d]);
-    }
-    PutU64(p + 2 * kDims * 8, e.id);
-    PutU64(p + 2 * kDims * 8 + 8, 0);
-    p += kEntrySize;
-  }
+  WriteNodePage(node.level, node.entries, page);
   return Status::OK();
 }
 
+Status NodeImage::Decode(const Page& page,
+                         std::shared_ptr<const NodeImage>* out) {
+  int32_t level = 0;
+  size_t n = 0;
+  KCPQ_RETURN_IF_ERROR(ReadHeader(page, &level, &n));
+  const size_t entries_at = AlignUp(sizeof(NodeImage), alignof(Entry));
+  const size_t orders_at =
+      AlignUp(entries_at + n * sizeof(Entry), alignof(uint32_t));
+  const size_t bytes = orders_at + kDims * n * sizeof(uint32_t);
+  auto block = std::make_shared_for_overwrite<ImageWord[]>(
+      (bytes + sizeof(ImageWord) - 1) / sizeof(ImageWord));
+  unsigned char* raw = reinterpret_cast<unsigned char*>(block.get());
+  NodeImage* image = new (raw) NodeImage();
+  Entry* entries = reinterpret_cast<Entry*>(raw + entries_at);
+  Rect mbr = Rect::Empty();
+  for (size_t i = 0; i < n; ++i) {
+    Entry* e = new (entries + i) Entry();
+    KCPQ_RETURN_IF_ERROR(ReadEntry(page, i, e));
+    mbr.Expand(e->rect);
+  }
+  uint32_t* orders = reinterpret_cast<uint32_t*>(raw + orders_at);
+  for (int axis = 0; axis < kDims; ++axis) {
+    uint32_t* order = orders + axis * n;
+    std::iota(order, order + n, 0u);
+    std::sort(order, order + n, [entries, axis](uint32_t a, uint32_t b) {
+      return entries[a].rect.lo[axis] < entries[b].rect.lo[axis];
+    });
+    image->order_[axis] = order;
+  }
+  image->level_ = level;
+  image->count_ = static_cast<uint32_t>(n);
+  image->mbr_ = mbr;
+  image->entries_ = entries;
+  *out = std::shared_ptr<const NodeImage>(std::move(block), image);
+  return Status::OK();
+}
+
+void NodeImage::Encode(Page* page) const {
+  WriteNodePage(level_, entries(), page);
+}
+
 Status DeserializeNode(const Page& page, Node* node) {
-  const size_t capacity = NodeCapacity(page.size());
-  const uint8_t* base = page.data();
-  const int32_t level = GetI32(base + 0);
-  const int32_t count = GetI32(base + 4);
-  if (level < 0 || level > kMaxLevel) {
-    return Status::Corruption("node level out of range");
-  }
-  if (count < 0 || static_cast<size_t>(count) > capacity) {
-    return Status::Corruption("node entry count out of range");
-  }
-  node->level = level;
-  node->entries.clear();
-  node->entries.reserve(count);
-  const uint8_t* p = base + kNodeHeaderSize;
-  for (int32_t i = 0; i < count; ++i) {
-    Entry e;
-    for (int d = 0; d < kDims; ++d) {
-      e.rect.lo[d] = GetF64(p + d * 8);
-      e.rect.hi[d] = GetF64(p + (kDims + d) * 8);
-    }
-    e.id = GetU64(p + 2 * kDims * 8);
-    if (!e.rect.IsValid()) {
-      return Status::Corruption("entry rect with lo > hi");
-    }
-    node->entries.push_back(e);
-    p += kEntrySize;
+  size_t n = 0;
+  KCPQ_RETURN_IF_ERROR(ReadHeader(page, &node->level, &n));
+  node->entries.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    KCPQ_RETURN_IF_ERROR(ReadEntry(page, i, &node->entries[i]));
   }
   return Status::OK();
 }

@@ -19,6 +19,8 @@
 #define KCPQ_RTREE_NODE_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -60,6 +62,49 @@ struct Node {
   }
 };
 
+/// Immutable decoded image of one node page, shared by every reader of the
+/// page while it stays resident: the buffer caches it on the page's frame
+/// (BufferManager::ReadImage), so a buffer hit costs no copy and no decode.
+/// One allocation holds the header, the entries and, per axis, the entries'
+/// permutation by ascending `rect.lo[axis]` — the order the plane sweeps of
+/// cpq/leaf_kernel.h visit a node in. Built only by Decode, which validates
+/// the page first.
+class NodeImage {
+ public:
+  /// Validates `page` (level, entry count, every entry rect — the checks
+  /// the engines rely on before the bytes steer a traversal) and builds its
+  /// image. Corruption when any check fails.
+  static Status Decode(const Page& page,
+                       std::shared_ptr<const NodeImage>* out);
+
+  /// Writes the node back out as the page bytes SerializeNode would write
+  /// (`*page` already has the page size it was decoded from).
+  void Encode(Page* page) const;
+
+  int32_t level() const { return level_; }
+  bool IsLeaf() const { return level_ == 0; }
+  std::span<const Entry> entries() const { return {entries_, count_}; }
+  /// Tight MBR over the entries; Rect::Empty() for an empty node.
+  const Rect& mbr() const { return mbr_; }
+  /// Entry indices by ascending rect.lo[axis]. Built by std::sort over an
+  /// index array, which makes the same moves a std::sort of the entries
+  /// themselves would, so equal keys keep that sort's (unstable) order.
+  std::span<const uint32_t> order(int axis) const {
+    return {order_[axis], count_};
+  }
+
+ private:
+  NodeImage() = default;
+
+  int32_t level_ = 0;
+  uint32_t count_ = 0;
+  Rect mbr_;
+  const Entry* entries_ = nullptr;
+  const uint32_t* order_[kDims] = {};
+};
+
+using NodeImagePtr = std::shared_ptr<const NodeImage>;
+
 /// Size of the fixed node header on a page, in bytes.
 inline constexpr size_t kNodeHeaderSize = 16;
 /// Size of one serialized entry, in bytes: the MBR (2 * kDims doubles),
@@ -79,7 +124,8 @@ inline constexpr size_t NodeCapacity(size_t page_size) {
 /// Fails if the node has more entries than the page can hold.
 Status SerializeNode(const Node& node, Page* page);
 
-/// Parses `page` into `*node`. Fails on an impossible count or level.
+/// Parses `page` into a mutable `*node`. Runs the same checks as
+/// NodeImage::Decode and fails exactly when it does.
 Status DeserializeNode(const Page& page, Node* node);
 
 }  // namespace kcpq

@@ -14,11 +14,11 @@ Status RStarTree::RangeQuery(const Rect& range, std::vector<Entry>* out) const {
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
-    Node node;
+    NodeImagePtr node;
     KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
-    for (const Entry& e : node.entries) {
+    for (const Entry& e : node->entries()) {
       if (!range.Intersects(e.rect)) continue;
-      if (node.IsLeaf()) {
+      if (node->IsLeaf()) {
         out->push_back(e);
       } else {
         stack.push_back(e.id);
@@ -54,13 +54,13 @@ Status RStarTree::NearestNeighbors(const Point& query, size_t k,
       if (out->size() == k) return Status::OK();
       continue;
     }
-    Node node;
+    NodeImagePtr node;
     KCPQ_RETURN_IF_ERROR(ReadNode(item.page, &node));
-    for (const Entry& e : node.entries) {
+    for (const Entry& e : node->entries()) {
       // MINDIST to the entry rect: exact point distance for point data,
       // nearest-face distance for extended objects and subtree MBRs.
       const double key = MinMinDistPow(query_rect, e.rect, metric);
-      if (node.IsLeaf()) {
+      if (node->IsLeaf()) {
         queue.push(Item{key, false, kInvalidPageId, e});
       } else {
         queue.push(Item{key, true, e.id, Entry{}});
@@ -111,16 +111,18 @@ Status RStarTree::ScanLeaves(
     const std::function<bool(const Node& leaf)>& visit,
     QueryContext* ctx) const {
   std::vector<PageId> stack = {root_page_};
+  Node leaf;
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
-    Node node;
+    NodeImagePtr node;
     KCPQ_RETURN_IF_ERROR(ReadNode(page, &node, ctx));
-    if (node.IsLeaf()) {
-      if (!visit(node)) return Status::OK();
+    if (node->IsLeaf()) {
+      leaf.entries.assign(node->entries().begin(), node->entries().end());
+      if (!visit(leaf)) return Status::OK();
       continue;
     }
-    for (const Entry& e : node.entries) stack.push_back(e.id);
+    for (const Entry& e : node->entries()) stack.push_back(e.id);
   }
   return Status::OK();
 }

@@ -95,19 +95,47 @@ Status RStarTree::ReadMeta() {
   return Status::OK();
 }
 
+namespace {
+
+Status DecodeNodePage(const Page& page, PageImage* image) {
+  NodeImagePtr node;
+  KCPQ_RETURN_IF_ERROR(NodeImage::Decode(page, &node));
+  *image = std::move(node);
+  return Status::OK();
+}
+
+void EncodeNodePage(const void* image, Page* page) {
+  static_cast<const NodeImage*>(image)->Encode(page);
+}
+
+constexpr PageCodec kNodeCodec{&DecodeNodePage, &EncodeNodePage};
+
+}  // namespace
+
 Status RStarTree::ReadNode(PageId page, Node* node, QueryContext* ctx) const {
   Page raw;
   KCPQ_RETURN_IF_ERROR(buffer_->Read(page, &raw, ctx));
   return DeserializeNode(raw, node);
 }
 
-Status RStarTree::TryReadNode(PageId page, Node* node, QueryContext* ctx,
-                              const Waker& waker,
+Status RStarTree::ReadNode(PageId page, NodeImagePtr* image,
+                           QueryContext* ctx) const {
+  PageImage erased;
+  KCPQ_RETURN_IF_ERROR(
+      buffer_->ReadImage(page, &kNodeCodec, &erased, ctx));
+  *image = std::static_pointer_cast<const NodeImage>(std::move(erased));
+  return Status::OK();
+}
+
+Status RStarTree::TryReadNode(PageId page, NodeImagePtr* image,
+                              QueryContext* ctx, const Waker& waker,
                               BufferManager::TryReadOutcome* outcome) const {
-  Page raw;
-  KCPQ_RETURN_IF_ERROR(buffer_->TryRead(page, &raw, ctx, waker, outcome));
+  PageImage erased;
+  KCPQ_RETURN_IF_ERROR(buffer_->TryReadImage(page, &kNodeCodec, &erased, ctx,
+                                             waker, outcome));
   if (outcome->parked) return Status::OK();
-  return DeserializeNode(raw, node);
+  *image = std::static_pointer_cast<const NodeImage>(std::move(erased));
+  return Status::OK();
 }
 
 Status RStarTree::WriteNode(PageId page, const Node& node) {
@@ -117,9 +145,9 @@ Status RStarTree::WriteNode(PageId page, const Node& node) {
 }
 
 Status RStarTree::RootMbr(Rect* mbr, QueryContext* ctx) const {
-  Node root;
+  NodeImagePtr root;
   KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root, ctx));
-  *mbr = root.ComputeMbr();
+  *mbr = root->mbr();
   return Status::OK();
 }
 

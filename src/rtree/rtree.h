@@ -118,19 +118,26 @@ class RStarTree {
                     QueryContext* ctx = nullptr) const;
 
   /// Reads the node stored at `page` through the buffer (one counted access
-  /// on a miss). The traversal entry point for the CPQ/HS algorithms. When
+  /// on a miss) as the shared, immutable image cached on the page's frame
+  /// (node.h; no copy or decode on a buffer hit). The traversal entry point
+  /// for the CPQ/HS algorithms. When
   /// `ctx` is given the page is charged to that query's ResourceAccountant
   /// and the storage stack may abandon deadline-doomed retries (surfaced as
   /// kDeadlineExceeded — callers treat it as a deadline stop, not an
   /// error).
+  Status ReadNode(PageId page, NodeImagePtr* image,
+                  QueryContext* ctx = nullptr) const;
+
+  /// ReadNode into a mutable copy (a page copy and a decode; no image is
+  /// cached), for callers that edit the node.
   Status ReadNode(PageId page, Node* node, QueryContext* ctx = nullptr) const;
 
   /// Non-blocking ReadNode for the resumable engines: forwards to
-  /// BufferManager::TryRead. When `outcome->parked` is set the node was
-  /// not available — the waker is registered and the caller must retry
-  /// after it fires; otherwise the node is deserialized and outcome
-  /// carries the hit/miss accounting of the access.
-  Status TryReadNode(PageId page, Node* node, QueryContext* ctx,
+  /// BufferManager::TryReadImage. When `outcome->parked` is set the node
+  /// was not available — the waker is registered and the caller must
+  /// retry after it fires; otherwise `*image` is set and outcome carries
+  /// the hit/miss accounting of the access.
+  Status TryReadNode(PageId page, NodeImagePtr* image, QueryContext* ctx,
                      const Waker& waker,
                      BufferManager::TryReadOutcome* outcome) const;
 

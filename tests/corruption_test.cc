@@ -2,10 +2,12 @@
 // as clean Corruption/error Status values — queries and validation never
 // crash, hang, or silently succeed on mangled structures they detect.
 
+#include <limits>
 #include <vector>
 
 #include "cpq/cpq.h"
 #include "gtest/gtest.h"
+#include "hs/hs.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
@@ -98,6 +100,36 @@ TEST(CorruptionTest, DanglingChildPointerDetected) {
   EXPECT_FALSE(fx.tree().Validate().ok());
   std::vector<Entry> hits;
   EXPECT_FALSE(fx.tree().RangeQuery(UnitWorkspace(), &hits).ok());
+}
+
+TEST(CorruptionTest, NanCoordinateIsCorruption) {
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(1000, 2102)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(500, 2103)));
+  // A NaN upper face: `lo > hi` is false for NaN, so only a check written
+  // as !(lo <= hi) rejects it.
+  Page page;
+  KCPQ_ASSERT_OK(fp.storage().ReadPage(fp.tree().root_page(), &page));
+  Node root;
+  KCPQ_ASSERT_OK(DeserializeNode(page, &root));
+  root.entries[0].rect.hi[1] = std::numeric_limits<double>::quiet_NaN();
+  KCPQ_ASSERT_OK(SerializeNode(root, &page));
+  KCPQ_ASSERT_OK(fp.storage().WritePage(fp.tree().root_page(), page));
+
+  Node node;
+  EXPECT_EQ(DeserializeNode(page, &node).code(), StatusCode::kCorruption);
+  NodeImagePtr image;
+  EXPECT_EQ(NodeImage::Decode(page, &image).code(), StatusCode::kCorruption);
+  for (const CpqAlgorithm algorithm :
+       {CpqAlgorithm::kHeap, CpqAlgorithm::kSortedDistances}) {
+    CpqOptions options;
+    options.algorithm = algorithm;
+    options.k = 5;
+    EXPECT_EQ(KClosestPairs(fp.tree(), fq.tree(), options).status().code(),
+              StatusCode::kCorruption);
+  }
+  EXPECT_EQ(HsKClosestPairs(fp.tree(), fq.tree(), 5).status().code(),
+            StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // product, across graph shapes, K, metrics, and tree shapes.
 
 #include <cmath>
+#include <cstdint>
 
 #include "cpq/multiway.h"
 #include "gtest/gtest.h"
@@ -41,13 +42,23 @@ void ExpectTupleConsistent(const TupleResult& tuple,
   EXPECT_NEAR(aggregate, tuple.aggregate_distance, 1e-9);
 }
 
+// gtest appends a hex dump of the parameter, padding bytes included, to
+// each case's name; the explicit zero fields stand where the compiler
+// would leave uninitialized padding, so the names are the same every run.
 struct MultiwayParam {
+  MultiwayParam(int m_in, const char* shape_in, size_t n_in, size_t k_in,
+                Metric metric_in)
+      : m(m_in), shape(shape_in), n(n_in), k(k_in), metric(metric_in) {}
+
   int m;                 // number of trees
+  int32_t zero0 = 0;
   const char* shape;     // "chain" | "clique" | "star"
   size_t n;              // points per tree
   size_t k;
   Metric metric;
+  int32_t zero1 = 0;
 };
+static_assert(sizeof(MultiwayParam) == 40, "no padding left to dump");
 
 std::vector<MultiwayEdge> MakeGraph(int m, const std::string& shape) {
   std::vector<MultiwayEdge> graph;

@@ -389,6 +389,48 @@ TEST(SchedulerTest, NullFactoryResultSkipsDoneCallback) {
   EXPECT_EQ(done.load(), 6u);  // the 3 rejected slots never reach on_done
 }
 
+/// Parks once (waking itself mid-step) and counts its own destruction.
+class CountedTask final : public ResumableTask {
+ public:
+  CountedTask(Waker waker, std::atomic<size_t>* destroyed)
+      : waker_(std::move(waker)), destroyed_(destroyed) {}
+  ~CountedTask() override {
+    destroyed_->fetch_add(1, std::memory_order_relaxed);
+  }
+  StepResult Step() override {
+    if (parked_) return StepResult::kDone;
+    parked_ = true;
+    waker_();
+    return StepResult::kParked;
+  }
+
+ private:
+  bool parked_ = false;
+  Waker waker_;
+  std::atomic<size_t>* destroyed_;
+};
+
+TEST(SchedulerTest, FinishedTasksAreFreedBeforeRunReturns) {
+  // Every task holds its waker, and every waker shares ownership of the
+  // scheduler state that owns the tasks: the tasks must be destroyed as
+  // they finish, or no batch would ever be freed.
+  constexpr size_t kTasks = 64;
+  std::atomic<size_t> destroyed{0};
+  Waker stale;  // outlives the run, like a leftover buffer entry's waker
+  ResumableScheduler::Options options;
+  options.workers = 4;
+  options.max_inflight = 8;
+  ResumableScheduler::Run(
+      kTasks,
+      [&](size_t index, Waker waker) {
+        if (index == 0) stale = waker;
+        return std::make_unique<CountedTask>(std::move(waker), &destroyed);
+      },
+      [](size_t, ResumableTask*) {}, options);
+  EXPECT_EQ(destroyed.load(), kTasks);
+  stale();  // lands on the live slot states of a finished task: a no-op
+}
+
 // ---------------------------------------------------------------------------
 // Per-page latency on the async path (PR satellite): the latency decorator
 // must charge its simulated latency to asynchronously-read pages too, not

@@ -10,15 +10,18 @@
 //
 // --stdin-endpoint reads the producer's stdout looking for the
 // "# obs: exporter listening on HOST:PORT" line the CLI prints, then
-// scrapes that endpoint — which makes a shell pipeline the whole smoke
-// test (tests/obs_top_smoke.cmake). The JSON parser below handles exactly
+// scrapes that endpoint, polling until at least one query has finished —
+// which makes a shell pipeline the whole smoke test
+// (tests/obs_top_smoke.cmake). The JSON parser below handles exactly
 // the flat objects /queries emits; it is not a general-purpose parser.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/http_exporter.h"
@@ -185,6 +188,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "kcpq_top: cannot scrape %s:%u (HTTP %d)\n",
                  host.c_str(), static_cast<unsigned>(port), status);
     return 1;
+  }
+  // Pipeline mode: the first scrape may land before any query of the
+  // producer has finished. Poll until the flight recorder holds one (or a
+  // deadline passes, or the producer goes away) and print the last
+  // successful scrape.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (from_stdin && std::atoll(RawField(body, "done_total").c_str()) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::string next;
+    if (!kcpq::obs::HttpGet(host, port, target, &next, &status) ||
+        status != 200) {
+      break;
+    }
+    body = std::move(next);
   }
   PrintTable(body);
   // Pipeline mode: drain the rest of the producer's output so it never
