@@ -232,7 +232,8 @@ Status BufferManager::Deliver(Frame& frame, const ReadSink& sink) {
       frame.codec->encode(frame.image.get(), &frame.page);
     }
     PageImage image;
-    KCPQ_RETURN_IF_ERROR(sink.codec->decode(frame.page, &image));
+    KCPQ_RETURN_IF_ERROR(
+        sink.codec->decode(frame.page, storage_->PageCount(), &image));
     frame.image = std::move(image);
     frame.codec = sink.codec;
   }
@@ -531,35 +532,45 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   bool issue = false;
   bool served = false;
-  bool prefetch_claim = false;
   Status result;
+  Page page;
   std::vector<Waker> waiters;
+  // The staging-area step for a non-resident page: claims a ready entry
+  // (served), joins an in-flight one (parked). With no entry it starts a
+  // demand fetch when `start` is set; otherwise it returns false so the
+  // caller may first try a read that needs no wait.
+  const auto consult = [&](bool start) {
+    std::lock_guard<std::mutex> lock(prefetch_.mu);
+    auto it = prefetch_.entries.find(id);
+    if (it == prefetch_.entries.end()) {
+      if (!start) return false;
+      StartDemandFetchLocked(id, waker);
+      issue = true;
+    } else if (!it->second.ready) {
+      it->second.waiters.push_back(waker);
+    } else {
+      served = true;
+      result = it->second.status;
+      if (result.ok()) {
+        outcome->prefetch_claim = !it->second.demand;
+        ReleaseIssuerLocked(it->second, ctx);
+        page = std::move(it->second.page);
+      }
+      waiters = std::move(it->second.waiters);
+      prefetch_.entries.erase(it);
+    }
+    return true;
+  };
   if (capacity_ == 0) {
     // Pass-through: every serve is a miss (the paper's zero-buffer
     // setting). Concurrent parkers coalesce on one fetch, but only the
     // first re-runner claims it — later ones find no entry and re-issue,
     // so each query still pays one miss per read, exactly like blocking
-    // pass-through reads.
-    Page page;
-    {
-      std::lock_guard<std::mutex> lock(prefetch_.mu);
-      auto it = prefetch_.entries.find(id);
-      if (it == prefetch_.entries.end()) {
-        StartDemandFetchLocked(id, waker);
-        issue = true;
-      } else if (!it->second.ready) {
-        it->second.waiters.push_back(waker);
-      } else {
-        served = true;
-        result = it->second.status;
-        if (result.ok()) {
-          prefetch_claim = !it->second.demand;
-          ReleaseIssuerLocked(it->second, ctx);
-          page = std::move(it->second.page);
-        }
-        waiters = std::move(it->second.waiters);
-        prefetch_.entries.erase(it);
-      }
+    // pass-through reads. The probe runs outside the area lock: no
+    // syscall under a lock every reader takes.
+    if (!consult(false)) {
+      served = outcome->nowait = storage_->TryReadPageNow(id, &page);
+      if (!served) consult(true);
     }
     for (const Waker& w : waiters) w();
     if (issue) IssueDemandFetch(id);
@@ -568,8 +579,7 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
       return Status::OK();
     }
     CountMiss();
-    outcome->prefetch_claim = prefetch_claim;
-    if (prefetch_claim) CountPrefetchHit();
+    if (outcome->prefetch_claim) CountPrefetchHit();
     if (!result.ok()) return result;
     return DeliverPassThrough(std::move(page), sink);
   }
@@ -584,40 +594,22 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
       return Deliver(fit->second, sink);
     }
     // Non-resident: consult the staging area (shard mu -> prefetch mu is
-    // the legal lock order).
-    bool claimed = false;
-    Page page;
-    {
-      std::lock_guard<std::mutex> alock(prefetch_.mu);
-      auto it = prefetch_.entries.find(id);
-      if (it == prefetch_.entries.end()) {
-        StartDemandFetchLocked(id, waker);
-        issue = true;
-      } else if (!it->second.ready) {
-        it->second.waiters.push_back(waker);
-      } else {
-        served = true;
-        result = it->second.status;
-        if (result.ok()) {
-          claimed = true;
-          prefetch_claim = !it->second.demand;
-          ReleaseIssuerLocked(it->second, ctx);
-          page = std::move(it->second.page);
-        }
-        waiters = std::move(it->second.waiters);
-        prefetch_.entries.erase(it);
-      }
+    // the legal lock order). Where a demand fetch would start, probe for a
+    // read that needs no wait first, under the shard lock like a blocking
+    // miss's read, so no other reader of the page can race the insert.
+    if (!consult(false)) {
+      served = outcome->nowait = storage_->TryReadPageNow(id, &page);
+      if (!served) consult(true);
     }
-    if (claimed) {
-      // The claim is this query's demand miss: counted and inserted
-      // through the same eviction path as a blocking miss, so the
-      // replacement policy sees the identical history. Parked waiters on
-      // the erased entry re-run and find the page resident (a hit) —
-      // matching the blocking path, where threads queued on the shard
-      // mutex during the fetch hit the fresh frame.
+    if (served && result.ok()) {
+      // The claim (or the probe's read) is this query's demand miss:
+      // counted and inserted through the same eviction path as a blocking
+      // miss, so the replacement policy sees the identical history. Parked
+      // waiters on an erased entry re-run and find the page resident (a
+      // hit) — matching the blocking path, where threads queued on the
+      // shard mutex during the fetch hit the fresh frame.
       CountMiss();
-      outcome->prefetch_claim = prefetch_claim;
-      if (prefetch_claim) CountPrefetchHit();
+      if (outcome->prefetch_claim) CountPrefetchHit();
       result = EvictIfFull(shard);
       if (result.ok()) {
         shard.policy->OnInsert(id);

@@ -63,6 +63,9 @@
 // the same history — or *parks*: the caller's waker is registered on the
 // page's in-flight entry (starting a demand fetch through ReadPagesAsync
 // if none exists) and TryRead returns immediately with outcome.parked.
+// Before a demand fetch starts, the storage is asked for the page without
+// waiting (StorageManager::TryReadPageNow); a page the OS page cache
+// already holds is then served at once, as a counted miss, with no park.
 // When the fetch completes, the buffer fires the waker and the caller
 // re-runs TryRead; the first re-runner claims the page and counts the
 // miss, later ones find it resident and count hits — the same
@@ -137,9 +140,10 @@ using PageImage = std::shared_ptr<const void>;
 
 /// How one page format turns into an image and back.
 struct PageCodec {
-  /// Builds `*image` from `page`, validating it. A non-OK status is
+  /// Builds `*image` from `page`, validating it; `page_count` is the
+  /// store's, bounding any page id the page links to. A non-OK status is
   /// returned to the reader and nothing is cached.
-  Status (*decode)(const Page& page, PageImage* image);
+  Status (*decode)(const Page& page, uint64_t page_count, PageImage* image);
   /// Writes `image` back out as page bytes into `*page` (already sized):
   /// every byte `decode` reads; bytes the format ignores come back zero.
   void (*encode)(const void* image, Page* page);
@@ -185,18 +189,24 @@ class BufferManager {
   /// parked (no page, no counting yet), served hit (`hit`), or served
   /// miss (`!parked && !hit`; `prefetch_claim` marks a miss satisfied by
   /// a claimed *speculative* page, the resumable analog of a blocking
-  /// read's prefetch hit).
+  /// read's prefetch hit; `nowait` a miss the storage served at once,
+  /// without a park).
   struct TryReadOutcome {
     bool parked = false;
     bool hit = false;
     bool prefetch_claim = false;
+    bool nowait = false;
   };
 
   /// Non-blocking Read for resumable engines ("park on miss, wake on
   /// completion" — see the file comment). Serves the page when it is
-  /// resident or staged; otherwise registers `waker` with the page's
-  /// in-flight fetch (starting a demand fetch if none exists), sets
-  /// outcome->parked and returns OK without counting anything. The waker
+  /// resident or staged, or when no fetch of it is staged or in flight
+  /// and the storage can read it without waiting
+  /// (StorageManager::TryReadPageNow: a page-cache hit on a file store;
+  /// the miss is counted and inserted exactly like a blocking miss).
+  /// Otherwise registers `waker` with the page's in-flight fetch
+  /// (starting a demand fetch if none exists), sets outcome->parked and
+  /// returns OK without counting anything. The waker
   /// may fire from an I/O thread, possibly before TryRead returns; fire
   /// semantics are at-least-once per park (a woken caller must re-run
   /// TryRead, which may park again). Counting matches Read exactly: one

@@ -150,6 +150,7 @@ Status GroupNearestForLeaf(const RStarTree& tree_q, const Node& leaf,
   struct QueueItem {
     double key;
     PageId page;
+    int level;
     bool operator>(const QueueItem& other) const { return key > other.key; }
   };
   const Rect leaf_mbr = leaf.ComputeMbr();
@@ -160,7 +161,7 @@ Status GroupNearestForLeaf(const RStarTree& tree_q, const Node& leaf,
   std::priority_queue<QueueItem, std::vector<QueueItem>,
                       std::greater<QueueItem>>
       queue;
-  queue.push(QueueItem{0.0, tree_q.root_page()});
+  queue.push(QueueItem{0.0, tree_q.root_page(), tree_q.height() - 1});
   while (!queue.empty()) {
     const QueueItem item = queue.top();
     queue.pop();
@@ -172,7 +173,8 @@ Status GroupNearestForLeaf(const RStarTree& tree_q, const Node& leaf,
     }
     Node node;
     const Status read_status =
-        tree_q.ReadNode(item.page, &node, accounting ? ctx : nullptr);
+        tree_q.ReadNode(item.page, item.level, &node,
+                        accounting ? ctx : nullptr);
     if (read_status.code() == StatusCode::kDeadlineExceeded) {
       *stop = StopCause::kDeadline;
       return Status::OK();
@@ -199,7 +201,7 @@ Status GroupNearestForLeaf(const RStarTree& tree_q, const Node& leaf,
       const double key = MinMinDistSquared(leaf_mbr, eq.rect);
       // Re-test against the current worst: later insertions are useless
       // once every point has a closer neighbor.
-      if (key <= worst) queue.push(QueueItem{key, eq.id});
+      if (key <= worst) queue.push(QueueItem{key, eq.id, item.level - 1});
     }
   }
   for (size_t i = 0; i < leaf.entries.size(); ++i) {

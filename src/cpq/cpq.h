@@ -206,9 +206,12 @@ struct CpqStats {
   /// Resumable-scheduler execution only (zero under the blocking path):
   /// how many times the query parked on a non-resident page and the total
   /// wall time it spent parked. Parked time is scheduler wait, not work —
-  /// a multiplexed worker runs other queries during it.
+  /// a multiplexed worker runs other queries during it. `io_nowait_reads`
+  /// counts the misses the storage served at once instead, with no park
+  /// (BufferManager::TryReadOutcome::nowait).
   uint64_t io_parks = 0;
   uint64_t io_parked_ns = 0;
+  uint64_t io_nowait_reads = 0;
 
   /// Result quality certificate: trivial (exact) for completed queries,
   /// the anytime bound for partial ones. See QueryQuality.

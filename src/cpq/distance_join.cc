@@ -38,8 +38,8 @@ class JoinWalker {
   /// `max_pairs` its pair capacity (upper bound on point pairs beneath),
   /// both precomputed by the caller — on a stop they become frontier
   /// certificate instead of work.
-  Status Walk(PageId page_p, PageId page_q, double minmin_pow,
-              uint64_t max_pairs) {
+  Status Walk(PageId page_p, int level_p, PageId page_q, int level_q,
+              double minmin_pow, uint64_t max_pairs) {
     if (ShouldStop()) {
       FoldFrontier(minmin_pow, max_pairs);
       return Status::OK();
@@ -47,9 +47,10 @@ class JoinWalker {
 
     QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
     NodeImagePtr image_p, image_q;
-    Status read_status = tree_p_.ReadNode(page_p, &image_p, read_ctx);
+    Status read_status =
+        tree_p_.ReadNode(page_p, level_p, &image_p, read_ctx);
     if (read_status.ok()) {
-      read_status = tree_q_.ReadNode(page_q, &image_q, read_ctx);
+      read_status = tree_q_.ReadNode(page_q, level_q, &image_q, read_ctx);
     }
     if (read_status.code() == StatusCode::kDeadlineExceeded) {
       stop_ = StopCause::kDeadline;
@@ -106,7 +107,9 @@ class JoinWalker {
         }
         KCPQ_RETURN_IF_ERROR(
             Walk(expand_p ? node_p.entries()[i].id : page_p,
-                 expand_q ? node_q.entries()[j].id : page_q, child_minmin,
+                 expand_p ? level_p - 1 : level_p,
+                 expand_q ? node_q.entries()[j].id : page_q,
+                 expand_q ? level_q - 1 : level_q, child_minmin,
                  child_max_pairs));
       }
     }
@@ -267,11 +270,10 @@ Result<std::vector<PairResult>> DistanceRangeJoin(
     missing_pair_bound = SaturatingMul(tree_p.size(), tree_q.size());
   } else {
     KCPQ_RETURN_IF_ERROR(root_status);
-    KCPQ_RETURN_IF_ERROR(walker.Walk(tree_p.root_page(), tree_q.root_page(),
-                                     MinMinDistPow(mbr_p, mbr_q,
-                                                   options.metric),
-                                     SaturatingMul(tree_p.size(),
-                                                   tree_q.size())));
+    KCPQ_RETURN_IF_ERROR(walker.Walk(
+        tree_p.root_page(), tree_p.height() - 1, tree_q.root_page(),
+        tree_q.height() - 1, MinMinDistPow(mbr_p, mbr_q, options.metric),
+        SaturatingMul(tree_p.size(), tree_q.size())));
     stop = walker.stop_cause();
     frontier_pow = walker.frontier_min_pow();
     missing_pair_bound = walker.missing_pair_bound();

@@ -242,8 +242,10 @@ bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
 Status CpqEngine::ReadPair(NodeRef* ref_p, NodeRef* ref_q,
                            NodeImagePtr* node_p, NodeImagePtr* node_q) {
   QueryContext* read_ctx = accounting_ ? context_ : nullptr;
-  KCPQ_RETURN_IF_ERROR(tree_p_.ReadNode(ref_p->page, node_p, read_ctx));
-  KCPQ_RETURN_IF_ERROR(tree_q_.ReadNode(ref_q->page, node_q, read_ctx));
+  KCPQ_RETURN_IF_ERROR(
+      tree_p_.ReadNode(ref_p->page, ref_p->level, node_p, read_ctx));
+  KCPQ_RETURN_IF_ERROR(
+      tree_q_.ReadNode(ref_q->page, ref_q->level, node_q, read_ctx));
   OnPairRead(ref_p, ref_q, **node_p, **node_q);
   return Status::OK();
 }

@@ -167,7 +167,8 @@ class MultiwayEngine {
       }
       Node node;
       const Status read_status = trees_[expand]->ReadNode(
-          tuple.slots[expand].page, &node, accounting_ ? ctx_ : nullptr);
+          tuple.slots[expand].page, tuple.slots[expand].level, &node,
+          accounting_ ? ctx_ : nullptr);
       if (read_status.code() == StatusCode::kDeadlineExceeded) {
         stop_ = StopCause::kDeadline;
         stop_bound_ = tuple.bound;
@@ -234,7 +235,8 @@ class MultiwayEngine {
     const size_t m = tuple.slots.size();
     nodes_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      KCPQ_RETURN_IF_ERROR(trees_[i]->ReadNode(tuple.slots[i].page, &nodes_[i],
+      KCPQ_RETURN_IF_ERROR(trees_[i]->ReadNode(tuple.slots[i].page,
+                                               tuple.slots[i].level, &nodes_[i],
                                                accounting_ ? ctx_ : nullptr));
       ++node_accesses_;
     }

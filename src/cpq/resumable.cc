@@ -71,6 +71,7 @@ void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
     ++misses_q_;
   }
   if (outcome.prefetch_claim) ++prefetch_hits_;
+  if (outcome.nowait) ++engine_.stats_->io_nowait_reads;
 }
 
 bool ResumableCpqQuery::StartPhase() {
@@ -100,8 +101,8 @@ bool ResumableCpqQuery::ReadRoot(bool is_p, StepResult* parked) {
   const RStarTree& tree = is_p ? e.tree_p_ : e.tree_q_;
   QueryContext* read_ctx = e.accounting_ ? e.context_ : nullptr;
   BufferManager::TryReadOutcome outcome;
-  const Status s = tree.TryReadNode(tree.root_page(), &node_p_, read_ctx,
-                                    waker_, &outcome);
+  const Status s = tree.TryReadNode(tree.root_page(), tree.height() - 1,
+                                    &node_p_, read_ctx, waker_, &outcome);
   if (outcome.parked) {
     *parked = Park(tree.root_page());
     return false;
@@ -155,8 +156,8 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
   if (!have_p_) {
     BufferManager::TryReadOutcome outcome;
     const Status s =
-        e.tree_p_.TryReadNode(cur_p_.page, &node_p_, read_ctx, waker_,
-                              &outcome);
+        e.tree_p_.TryReadNode(cur_p_.page, cur_p_.level, &node_p_, read_ctx,
+                              waker_, &outcome);
     if (outcome.parked) {
       park_page_ = cur_p_.page;
       return ReadPairOutcome::kParked;
@@ -174,8 +175,8 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
   if (!have_q_) {
     BufferManager::TryReadOutcome outcome;
     const Status s =
-        e.tree_q_.TryReadNode(cur_q_.page, &node_q_, read_ctx, waker_,
-                              &outcome);
+        e.tree_q_.TryReadNode(cur_q_.page, cur_q_.level, &node_q_, read_ctx,
+                              waker_, &outcome);
     if (outcome.parked) {
       park_page_ = cur_q_.page;
       return ReadPairOutcome::kParked;

@@ -82,6 +82,7 @@ void ResumableSemiQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
     ++misses_q_;
   }
   if (outcome.prefetch_claim) ++prefetch_hits_;
+  if (outcome.nowait) ++stats_->io_nowait_reads;
 }
 
 bool ResumableSemiQuery::StartPhase() {
@@ -95,7 +96,7 @@ bool ResumableSemiQuery::StartPhase() {
   if (stop_ != StopCause::kNone) {
     phase_ = Phase::kFinish;
   } else {
-    stack_.push_back(tree_p_.root_page());
+    stack_.emplace_back(tree_p_.root_page(), tree_p_.height() - 1);
     phase_ = Phase::kScanRead;
   }
   return true;
@@ -147,10 +148,11 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           phase_ = Phase::kFinish;
           continue;
         }
-        const PageId page = stack_.back();
+        const auto [page, level] = stack_.back();
         BufferManager::TryReadOutcome outcome;
-        const Status s = tree_p_.TryReadNode(
-            page, &node_p_, accounting_ ? ctx_ : nullptr, waker_, &outcome);
+        const Status s =
+            tree_p_.TryReadNode(page, level, &node_p_,
+                                accounting_ ? ctx_ : nullptr, waker_, &outcome);
         if (outcome.parked) return Park(page);
         if (s.code() == StatusCode::kDeadlineExceeded) {
           stop_ = StopCause::kDeadline;
@@ -163,7 +165,9 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         if (!node_p_->IsLeaf()) {
           // Internal P nodes are read but not charged to node_accesses,
           // exactly like the blocking ScanLeaves traversal.
-          for (const Entry& e : node_p_->entries()) stack_.push_back(e.id);
+          for (const Entry& e : node_p_->entries()) {
+            stack_.emplace_back(e.id, level - 1);
+          }
           continue;
         }
         ++node_accesses_;  // the P leaf itself
@@ -172,7 +176,7 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
                      std::numeric_limits<double>::infinity());
         best_entry_.assign(node_p_->entries().size(), Entry{});
         queue_ = decltype(queue_){};
-        queue_.push(QueueItem{0.0, tree_q_.root_page()});
+        queue_.push(QueueItem{0.0, tree_q_.root_page(), tree_q_.height() - 1});
         phase_ = Phase::kGroupLoop;
         continue;
       }
@@ -199,13 +203,14 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           }
         }
         group_page_ = item.page;
+        group_level_ = item.level;
         phase_ = Phase::kGroupRead;
         continue;
       }
       case Phase::kGroupRead: {
         BufferManager::TryReadOutcome outcome;
         const Status s =
-            tree_q_.TryReadNode(group_page_, &node_q_,
+            tree_q_.TryReadNode(group_page_, group_level_, &node_q_,
                                 accounting_ ? ctx_ : nullptr, waker_, &outcome);
         if (outcome.parked) return Park(group_page_);
         if (s.code() == StatusCode::kDeadlineExceeded) {
@@ -235,7 +240,9 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
             // Re-test against the worst captured at this pop: later
             // insertions are useless once every point has a closer
             // neighbor.
-            if (key <= group_worst_) queue_.push(QueueItem{key, eq.id});
+            if (key <= group_worst_) {
+              queue_.push(QueueItem{key, eq.id, group_level_ - 1});
+            }
           }
         }
         phase_ = Phase::kGroupLoop;

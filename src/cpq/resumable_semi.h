@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "buffer/buffer_manager.h"
@@ -72,6 +73,7 @@ class ResumableSemiQuery final : public ResumableTask {
   struct QueueItem {
     double key;
     PageId page;
+    int level;
     bool operator>(const QueueItem& other) const { return key > other.key; }
   };
 
@@ -100,8 +102,8 @@ class ResumableSemiQuery final : public ResumableTask {
 
   // P traversal state (ScanLeaves' call-stack made explicit). The page
   // being read stays on the stack until the read lands, so a park simply
-  // re-reads it.
-  std::vector<PageId> stack_;
+  // re-reads it. Each page goes with the level its read expects.
+  std::vector<std::pair<PageId, int>> stack_;
   NodeImagePtr node_p_, node_q_;
 
   // Group-NN state for the current P leaf.
@@ -113,6 +115,7 @@ class ResumableSemiQuery final : public ResumableTask {
       queue_;
   double group_worst_ = 0.0;  // worst unresolved best at this pop
   PageId group_page_ = kInvalidPageId;
+  int group_level_ = 0;
 
   // Per-query accounting (see header comment).
   uint64_t node_accesses_ = 0;

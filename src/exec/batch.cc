@@ -131,6 +131,7 @@ void MapHsStats(const HsStats& hs, CpqStats* out) {
   out->prefetch_hits = hs.prefetch_hits;
   out->io_parks = hs.io_parks;
   out->io_parked_ns = hs.io_parked_ns;
+  out->io_nowait_reads = hs.io_nowait_reads;
   out->quality = hs.quality;
 }
 

@@ -325,7 +325,8 @@ Status JoinImpl::ExpandOneSide(const RStarTree& tree,
                                const ItemSide& other, bool node_first) {
   NodeImagePtr node;
   KCPQ_RETURN_IF_ERROR(
-      tree.ReadNode(node_side.id, &node, accounting_ ? ctx_ : nullptr));
+      tree.ReadNode(node_side.id, node_side.level, &node,
+                    accounting_ ? ctx_ : nullptr));
   ++stats_.node_accesses;
   PushChildrenOneSide(*node, other, node_first);
   return Status::OK();
@@ -359,8 +360,8 @@ size_t JoinImpl::PushChildrenOneSide(const NodeImage& node,
 Status JoinImpl::ExpandBoth(const ItemSide& a, const ItemSide& b) {
   QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
   NodeImagePtr node_a, node_b;
-  KCPQ_RETURN_IF_ERROR(tree_p_.ReadNode(a.id, &node_a, read_ctx));
-  KCPQ_RETURN_IF_ERROR(tree_q_.ReadNode(b.id, &node_b, read_ctx));
+  KCPQ_RETURN_IF_ERROR(tree_p_.ReadNode(a.id, a.level, &node_a, read_ctx));
+  KCPQ_RETURN_IF_ERROR(tree_q_.ReadNode(b.id, b.level, &node_b, read_ctx));
   stats_.node_accesses += 2;
   PushChildrenBoth(*node_a, *node_b);
   return Status::OK();
@@ -505,6 +506,7 @@ void JoinImpl::CountRead(const BufferManager::TryReadOutcome& outcome,
     ++misses_q_;
   }
   if (outcome.prefetch_claim) ++prefetch_hits_local_;
+  if (outcome.nowait) ++stats_.io_nowait_reads;
 }
 
 void JoinImpl::NotePark(PageId page) {
@@ -560,8 +562,9 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
   }
   if (root_stage_ == 1) {
     BufferManager::TryReadOutcome outcome;
-    const Status s = tree_p_.TryReadNode(tree_p_.root_page(), &node_a_,
-                                         read_ctx, waker_, &outcome);
+    const Status s =
+        tree_p_.TryReadNode(tree_p_.root_page(), tree_p_.height() - 1,
+                            &node_a_, read_ctx, waker_, &outcome);
     if (outcome.parked) {
       NotePark(tree_p_.root_page());
       return TryOutcome::kParked;
@@ -582,8 +585,9 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
   }
   if (root_stage_ == 2) {
     BufferManager::TryReadOutcome outcome;
-    const Status s = tree_q_.TryReadNode(tree_q_.root_page(), &node_a_,
-                                         read_ctx, waker_, &outcome);
+    const Status s =
+        tree_q_.TryReadNode(tree_q_.root_page(), tree_q_.height() - 1,
+                            &node_a_, read_ctx, waker_, &outcome);
     if (outcome.parked) {
       NotePark(tree_q_.root_page());
       return TryOutcome::kParked;
@@ -622,7 +626,8 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     if (!have_a_) {
       BufferManager::TryReadOutcome outcome;
       const Status s =
-          tree_p_.TryReadNode(item.a.id, &node_a_, read_ctx, waker_, &outcome);
+          tree_p_.TryReadNode(item.a.id, item.a.level, &node_a_, read_ctx,
+                              waker_, &outcome);
       if (outcome.parked) {
         NotePark(item.a.id);
         return TryOutcome::kParked;
@@ -640,7 +645,8 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     if (!have_b_) {
       BufferManager::TryReadOutcome outcome;
       const Status s =
-          tree_q_.TryReadNode(item.b.id, &node_b_, read_ctx, waker_, &outcome);
+          tree_q_.TryReadNode(item.b.id, item.b.level, &node_b_, read_ctx,
+                              waker_, &outcome);
       if (outcome.parked) {
         NotePark(item.b.id);
         return TryOutcome::kParked;
@@ -694,8 +700,8 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
   }
   if (!have_a_) {
     BufferManager::TryReadOutcome outcome;
-    const Status s = tree->TryReadNode(node_side->id, &node_a_, read_ctx,
-                                       waker_, &outcome);
+    const Status s = tree->TryReadNode(node_side->id, node_side->level,
+                                       &node_a_, read_ctx, waker_, &outcome);
     if (outcome.parked) {
       NotePark(node_side->id);
       return TryOutcome::kParked;

@@ -106,9 +106,11 @@ struct HsStats {
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
   /// Resumable-scheduler execution only (zero under the blocking path):
-  /// parks on non-resident pages and total parked wall time (see CpqStats).
+  /// parks on non-resident pages, total parked wall time and misses served
+  /// without a park (see CpqStats).
   uint64_t io_parks = 0;
   uint64_t io_parked_ns = 0;
+  uint64_t io_nowait_reads = 0;
 
   /// Result quality certificate (see QueryQuality). An HS stop is gentler
   /// than a CPQ one: the emitted pairs are exactly the closest

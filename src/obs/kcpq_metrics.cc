@@ -17,6 +17,10 @@ KcpqMetrics Register() {
   KcpqMetrics m;
   m.storage_reads_total = r.GetCounter("kcpq_storage_reads_total");
   m.storage_writes_total = r.GetCounter("kcpq_storage_writes_total");
+  m.storage_nowait_reads_total =
+      r.GetCounter("kcpq_storage_nowait_reads_total");
+  m.storage_nowait_fallbacks_total =
+      r.GetCounter("kcpq_storage_nowait_fallbacks_total");
   m.storage_retries_total = r.GetCounter("kcpq_storage_retries_total");
   m.storage_retries_recovered_total =
       r.GetCounter("kcpq_storage_retries_recovered_total");

@@ -25,6 +25,8 @@ struct KcpqMetrics {
   // -- storage ----------------------------------------------------------
   Counter* storage_reads_total;
   Counter* storage_writes_total;
+  Counter* storage_nowait_reads_total;      // served by a non-blocking probe
+  Counter* storage_nowait_fallbacks_total;  // probes that would have waited
   Counter* storage_retries_total;          // transient-fault retry attempts
   Counter* storage_retries_recovered_total;
   Counter* storage_retries_exhausted_total;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <new>
 #include <numeric>
+#include <span>
 #include <string>
 #include <type_traits>
 
@@ -81,6 +82,19 @@ Status ReadEntry(const Page& page, size_t i, Entry* e) {
   return Status::OK();
 }
 
+// An internal node's entry ids are child page ids, which must name pages
+// of the store. Kept apart from ReadEntry, whose every call is hot.
+Status CheckChildren(int32_t level, std::span<const Entry> entries,
+                     uint64_t page_count) {
+  if (level == 0) return Status::OK();
+  for (const Entry& e : entries) {
+    if (e.id >= page_count) {
+      return Status::Corruption("child page id past the end of the store");
+    }
+  }
+  return Status::OK();
+}
+
 // The on-page layout; callers have checked the level and the count.
 void WriteNodePage(int32_t level, std::span<const Entry> entries,
                    Page* page) {
@@ -118,7 +132,8 @@ Status SerializeNode(const Node& node, Page* page) {
 }
 
 Status NodeImage::Decode(const Page& page,
-                         std::shared_ptr<const NodeImage>* out) {
+                         std::shared_ptr<const NodeImage>* out,
+                         uint64_t page_count) {
   int32_t level = 0;
   size_t n = 0;
   KCPQ_RETURN_IF_ERROR(ReadHeader(page, &level, &n));
@@ -137,6 +152,7 @@ Status NodeImage::Decode(const Page& page,
     KCPQ_RETURN_IF_ERROR(ReadEntry(page, i, e));
     mbr.Expand(e->rect);
   }
+  KCPQ_RETURN_IF_ERROR(CheckChildren(level, {entries, n}, page_count));
   uint32_t* orders = reinterpret_cast<uint32_t*>(raw + orders_at);
   for (int axis = 0; axis < kDims; ++axis) {
     uint32_t* order = orders + axis * n;
@@ -158,14 +174,14 @@ void NodeImage::Encode(Page* page) const {
   WriteNodePage(level_, entries(), page);
 }
 
-Status DeserializeNode(const Page& page, Node* node) {
+Status DeserializeNode(const Page& page, Node* node, uint64_t page_count) {
   size_t n = 0;
   KCPQ_RETURN_IF_ERROR(ReadHeader(page, &node->level, &n));
   node->entries.resize(n);
   for (size_t i = 0; i < n; ++i) {
     KCPQ_RETURN_IF_ERROR(ReadEntry(page, i, &node->entries[i]));
   }
-  return Status::OK();
+  return CheckChildren(node->level, node->entries, page_count);
 }
 
 }  // namespace kcpq

@@ -47,6 +47,10 @@ struct Entry {
   }
 };
 
+/// Page count for decoding a node outside any store (serialization tests
+/// and benches): child page ids go unchecked.
+inline constexpr uint64_t kNoPageBound = ~uint64_t{0};
+
 /// In-memory image of one node page.
 struct Node {
   int32_t level = 0;  // 0 = leaf; root level = tree height - 1
@@ -71,11 +75,12 @@ struct Node {
 /// the page first.
 class NodeImage {
  public:
-  /// Validates `page` (level, entry count, every entry rect — the checks
-  /// the engines rely on before the bytes steer a traversal) and builds its
-  /// image. Corruption when any check fails.
-  static Status Decode(const Page& page,
-                       std::shared_ptr<const NodeImage>* out);
+  /// Validates `page` (level, entry count, every entry rect and, in an
+  /// internal node, every child page id against `page_count`, the store's
+  /// page count — the checks the engines rely on before the bytes steer a
+  /// traversal) and builds its image. Corruption when any check fails.
+  static Status Decode(const Page& page, std::shared_ptr<const NodeImage>* out,
+                       uint64_t page_count = kNoPageBound);
 
   /// Writes the node back out as the page bytes SerializeNode would write
   /// (`*page` already has the page size it was decoded from).
@@ -126,7 +131,8 @@ Status SerializeNode(const Node& node, Page* page);
 
 /// Parses `page` into a mutable `*node`. Runs the same checks as
 /// NodeImage::Decode and fails exactly when it does.
-Status DeserializeNode(const Page& page, Node* node);
+Status DeserializeNode(const Page& page, Node* node,
+                       uint64_t page_count = kNoPageBound);
 
 }  // namespace kcpq
 

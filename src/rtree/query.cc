@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "rtree/rtree.h"
 
@@ -10,18 +12,18 @@ namespace kcpq {
 Status RStarTree::RangeQuery(const Rect& range, std::vector<Entry>* out) const {
   // Iterative DFS; a leaf entry's degenerate rect intersects `range` iff the
   // point lies inside it.
-  std::vector<PageId> stack = {root_page_};
+  std::vector<std::pair<PageId, int>> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const auto [page, level] = stack.back();
     stack.pop_back();
     NodeImagePtr node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+    KCPQ_RETURN_IF_ERROR(ReadNode(page, level, &node));
     for (const Entry& e : node->entries()) {
       if (!range.Intersects(e.rect)) continue;
       if (node->IsLeaf()) {
         out->push_back(e);
       } else {
-        stack.push_back(e.id);
+        stack.emplace_back(e.id, level - 1);
       }
     }
   }
@@ -40,12 +42,13 @@ Status RStarTree::NearestNeighbors(const Point& query, size_t k,
     double dist2;
     bool is_node;
     PageId page;   // when is_node
+    int level;     // when is_node
     Entry entry;   // when !is_node
   };
   const Rect query_rect = Rect::FromPoint(query);
   auto cmp = [](const Item& a, const Item& b) { return a.dist2 > b.dist2; };
   std::priority_queue<Item, std::vector<Item>, decltype(cmp)> queue(cmp);
-  queue.push(Item{0.0, true, root_page_, Entry{}});
+  queue.push(Item{0.0, true, root_page_, height_ - 1, Entry{}});
   while (!queue.empty()) {
     const Item item = queue.top();
     queue.pop();
@@ -55,15 +58,15 @@ Status RStarTree::NearestNeighbors(const Point& query, size_t k,
       continue;
     }
     NodeImagePtr node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(item.page, &node));
+    KCPQ_RETURN_IF_ERROR(ReadNode(item.page, item.level, &node));
     for (const Entry& e : node->entries()) {
       // MINDIST to the entry rect: exact point distance for point data,
       // nearest-face distance for extended objects and subtree MBRs.
       const double key = MinMinDistPow(query_rect, e.rect, metric);
       if (node->IsLeaf()) {
-        queue.push(Item{key, false, kInvalidPageId, e});
+        queue.push(Item{key, false, kInvalidPageId, 0, e});
       } else {
-        queue.push(Item{key, true, e.id, Entry{}});
+        queue.push(Item{key, true, e.id, item.level - 1, Entry{}});
       }
     }
   }
@@ -78,19 +81,19 @@ Status RStarTree::CollectLevelGeometry(
   std::vector<std::vector<Rect>> mbrs(height_);
   {
     Node root;
-    KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root));
+    KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, height_ - 1, &root));
     mbrs[root.level].push_back(root.ComputeMbr());
   }
-  std::vector<PageId> stack = {root_page_};
+  std::vector<std::pair<PageId, int>> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const auto [page, level] = stack.back();
     stack.pop_back();
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+    KCPQ_RETURN_IF_ERROR(ReadNode(page, level, &node));
     if (node.IsLeaf()) continue;
     for (const Entry& e : node.entries) {
       mbrs[node.level - 1].push_back(e.rect);
-      stack.push_back(e.id);
+      stack.emplace_back(e.id, level - 1);
     }
   }
   for (int level = 0; level < height_; ++level) {
@@ -110,19 +113,19 @@ Status RStarTree::CollectLevelGeometry(
 Status RStarTree::ScanLeaves(
     const std::function<bool(const Node& leaf)>& visit,
     QueryContext* ctx) const {
-  std::vector<PageId> stack = {root_page_};
+  std::vector<std::pair<PageId, int>> stack = {{root_page_, height_ - 1}};
   Node leaf;
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const auto [page, level] = stack.back();
     stack.pop_back();
     NodeImagePtr node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node, ctx));
+    KCPQ_RETURN_IF_ERROR(ReadNode(page, level, &node, ctx));
     if (node->IsLeaf()) {
       leaf.entries.assign(node->entries().begin(), node->entries().end());
       if (!visit(leaf)) return Status::OK();
       continue;
     }
-    for (const Entry& e : node->entries()) stack.push_back(e.id);
+    for (const Entry& e : node->entries()) stack.emplace_back(e.id, level - 1);
   }
   return Status::OK();
 }
@@ -130,20 +133,17 @@ Status RStarTree::ScanLeaves(
 Status RStarTree::CollectLevelStats(std::vector<LevelStats>* out) const {
   out->assign(height_, LevelStats{});
   for (int i = 0; i < height_; ++i) (*out)[i].level = i;
-  std::vector<PageId> stack = {root_page_};
+  std::vector<std::pair<PageId, int>> stack = {{root_page_, height_ - 1}};
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const auto [page, level] = stack.back();
     stack.pop_back();
     Node node;
-    KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
-    if (node.level < 0 || node.level >= height_) {
-      return Status::Corruption("node level outside tree height");
-    }
+    KCPQ_RETURN_IF_ERROR(ReadNode(page, level, &node));
     LevelStats& stats = (*out)[node.level];
     ++stats.nodes;
     stats.entries += node.entries.size();
     if (!node.IsLeaf()) {
-      for (const Entry& e : node.entries) stack.push_back(e.id);
+      for (const Entry& e : node.entries) stack.emplace_back(e.id, level - 1);
     }
   }
   return Status::OK();

@@ -97,9 +97,10 @@ Status RStarTree::ReadMeta() {
 
 namespace {
 
-Status DecodeNodePage(const Page& page, PageImage* image) {
+Status DecodeNodePage(const Page& page, uint64_t page_count,
+                      PageImage* image) {
   NodeImagePtr node;
-  KCPQ_RETURN_IF_ERROR(NodeImage::Decode(page, &node));
+  KCPQ_RETURN_IF_ERROR(NodeImage::Decode(page, &node, page_count));
   *image = std::move(node);
   return Status::OK();
 }
@@ -110,31 +111,50 @@ void EncodeNodePage(const void* image, Page* page) {
 
 constexpr PageCodec kNodeCodec{&DecodeNodePage, &EncodeNodePage};
 
-}  // namespace
-
-Status RStarTree::ReadNode(PageId page, Node* node, QueryContext* ctx) const {
-  Page raw;
-  KCPQ_RETURN_IF_ERROR(buffer_->Read(page, &raw, ctx));
-  return DeserializeNode(raw, node);
+/// The level half of the structural check every node read makes (the
+/// decode makes the other half): the node sits exactly where its reader's
+/// descent expects it.
+Status CheckLevel(int32_t level, int expected) {
+  if (level == expected) return Status::OK();
+  return Status::Corruption("node at level " + std::to_string(level) +
+                            " where its parent expects level " +
+                            std::to_string(expected));
 }
 
-Status RStarTree::ReadNode(PageId page, NodeImagePtr* image,
+}  // namespace
+
+Status RStarTree::ReadNode(PageId page, int level, Node* node,
+                           QueryContext* ctx) const {
+  Page raw;
+  KCPQ_RETURN_IF_ERROR(buffer_->Read(page, &raw, ctx));
+  KCPQ_RETURN_IF_ERROR(
+      DeserializeNode(raw, node, buffer_->storage()->PageCount()));
+  return CheckLevel(node->level, level);
+}
+
+Status RStarTree::ReadNode(PageId page, int level, NodeImagePtr* image,
                            QueryContext* ctx) const {
   PageImage erased;
   KCPQ_RETURN_IF_ERROR(
       buffer_->ReadImage(page, &kNodeCodec, &erased, ctx));
-  *image = std::static_pointer_cast<const NodeImage>(std::move(erased));
+  NodeImagePtr node =
+      std::static_pointer_cast<const NodeImage>(std::move(erased));
+  KCPQ_RETURN_IF_ERROR(CheckLevel(node->level(), level));
+  *image = std::move(node);
   return Status::OK();
 }
 
-Status RStarTree::TryReadNode(PageId page, NodeImagePtr* image,
+Status RStarTree::TryReadNode(PageId page, int level, NodeImagePtr* image,
                               QueryContext* ctx, const Waker& waker,
                               BufferManager::TryReadOutcome* outcome) const {
   PageImage erased;
   KCPQ_RETURN_IF_ERROR(buffer_->TryReadImage(page, &kNodeCodec, &erased, ctx,
                                              waker, outcome));
   if (outcome->parked) return Status::OK();
-  *image = std::static_pointer_cast<const NodeImage>(std::move(erased));
+  NodeImagePtr node =
+      std::static_pointer_cast<const NodeImage>(std::move(erased));
+  KCPQ_RETURN_IF_ERROR(CheckLevel(node->level(), level));
+  *image = std::move(node);
   return Status::OK();
 }
 
@@ -146,7 +166,7 @@ Status RStarTree::WriteNode(PageId page, const Node& node) {
 
 Status RStarTree::RootMbr(Rect* mbr, QueryContext* ctx) const {
   NodeImagePtr root;
-  KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root, ctx));
+  KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, height_ - 1, &root, ctx));
   *mbr = root->mbr();
   return Status::OK();
 }
@@ -189,13 +209,14 @@ Status RStarTree::InsertAtLevel(const Entry& entry, int level) {
     pending.pop_back();
     Rect mbr;
     std::vector<Entry> split;
-    KCPQ_RETURN_IF_ERROR(InsertRecursive(root_page_, /*is_root=*/true, e, lvl,
+    KCPQ_RETURN_IF_ERROR(InsertRecursive(root_page_, height_ - 1,
+                                         /*is_root=*/true, e, lvl,
                                          &reinserted_levels, &pending, &mbr,
                                          &split));
     if (!split.empty()) {
       // Root split: grow the tree by one level.
       Node old_root;
-      KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &old_root));
+      KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, height_ - 1, &old_root));
       Node new_root;
       new_root.level = old_root.level + 1;
       new_root.entries.push_back(Entry{mbr, root_page_});
@@ -210,11 +231,11 @@ Status RStarTree::InsertAtLevel(const Entry& entry, int level) {
 }
 
 Status RStarTree::InsertRecursive(
-    PageId page, bool is_root, const Entry& entry, int target_level,
+    PageId page, int level, bool is_root, const Entry& entry, int target_level,
     uint32_t* reinserted_levels, std::vector<std::pair<Entry, int>>* pending,
     Rect* mbr, std::vector<Entry>* split) {
   Node node;
-  KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+  KCPQ_RETURN_IF_ERROR(ReadNode(page, level, &node));
   if (node.level < target_level) {
     return Status::Internal("insertion descended past its target level");
   }
@@ -225,7 +246,8 @@ Status RStarTree::InsertRecursive(
     const PageId child_page = node.entries[child_idx].id;
     Rect child_mbr;
     std::vector<Entry> child_split;
-    KCPQ_RETURN_IF_ERROR(InsertRecursive(child_page, /*is_root=*/false, entry,
+    KCPQ_RETURN_IF_ERROR(InsertRecursive(child_page, level - 1,
+                                         /*is_root=*/false, entry,
                                          target_level, reinserted_levels,
                                          pending, &child_mbr, &child_split));
     node.entries[child_idx].rect = child_mbr;
@@ -283,7 +305,8 @@ Result<bool> RStarTree::Erase(const Point& p, uint64_t record_id) {
 Result<bool> RStarTree::EraseRect(const Rect& rect, uint64_t record_id) {
   std::vector<std::pair<Entry, int>> orphans;
   EraseOutcome outcome;
-  KCPQ_RETURN_IF_ERROR(EraseRecursive(root_page_, /*is_root=*/true, rect,
+  KCPQ_RETURN_IF_ERROR(EraseRecursive(root_page_, height_ - 1,
+                                      /*is_root=*/true, rect,
                                       record_id, &orphans, &outcome));
   if (!outcome.found) return false;
   --size_;
@@ -297,7 +320,7 @@ Result<bool> RStarTree::EraseRect(const Rect& rect, uint64_t record_id) {
   // Shrink the root while it is internal with a single child.
   while (height_ > 1) {
     Node root;
-    KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, &root));
+    KCPQ_RETURN_IF_ERROR(ReadNode(root_page_, height_ - 1, &root));
     if (root.IsLeaf() || root.entries.size() != 1) break;
     const PageId child = root.entries[0].id;
     KCPQ_RETURN_IF_ERROR(buffer_->Free(root_page_));
@@ -307,12 +330,12 @@ Result<bool> RStarTree::EraseRect(const Rect& rect, uint64_t record_id) {
   return true;
 }
 
-Status RStarTree::EraseRecursive(PageId page, bool is_root,
+Status RStarTree::EraseRecursive(PageId page, int level, bool is_root,
                                  const Rect& target, uint64_t record_id,
                                  std::vector<std::pair<Entry, int>>* orphans,
                                  EraseOutcome* outcome) {
   Node node;
-  KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
+  KCPQ_RETURN_IF_ERROR(ReadNode(page, level, &node));
   outcome->found = false;
   outcome->eliminate = false;
 
@@ -329,7 +352,7 @@ Status RStarTree::EraseRecursive(PageId page, bool is_root,
     for (size_t i = 0; i < node.entries.size() && !outcome->found; ++i) {
       if (!node.entries[i].rect.Contains(target)) continue;
       EraseOutcome child;
-      KCPQ_RETURN_IF_ERROR(EraseRecursive(node.entries[i].id,
+      KCPQ_RETURN_IF_ERROR(EraseRecursive(node.entries[i].id, level - 1,
                                           /*is_root=*/false, target,
                                           record_id, orphans, &child));
       if (!child.found) continue;

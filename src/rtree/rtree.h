@@ -125,20 +125,28 @@ class RStarTree {
   /// and the storage stack may abandon deadline-doomed retries (surfaced as
   /// kDeadlineExceeded — callers treat it as a deadline stop, not an
   /// error).
-  Status ReadNode(PageId page, NodeImagePtr* image,
+  ///
+  /// `level` is the level the reader expects: height() - 1 for the root,
+  /// the parent's level - 1 for a child. A node at any other level is
+  /// Corruption, as is an internal node linking a page past the store's
+  /// end (checked when the page is decoded). So every traversal descends
+  /// one level per read, and bad bytes can neither send it out of range
+  /// nor into a cycle. All three read calls make these checks.
+  Status ReadNode(PageId page, int level, NodeImagePtr* image,
                   QueryContext* ctx = nullptr) const;
 
   /// ReadNode into a mutable copy (a page copy and a decode; no image is
   /// cached), for callers that edit the node.
-  Status ReadNode(PageId page, Node* node, QueryContext* ctx = nullptr) const;
+  Status ReadNode(PageId page, int level, Node* node,
+                  QueryContext* ctx = nullptr) const;
 
   /// Non-blocking ReadNode for the resumable engines: forwards to
   /// BufferManager::TryReadImage. When `outcome->parked` is set the node
   /// was not available — the waker is registered and the caller must
   /// retry after it fires; otherwise `*image` is set and outcome carries
   /// the hit/miss accounting of the access.
-  Status TryReadNode(PageId page, NodeImagePtr* image, QueryContext* ctx,
-                     const Waker& waker,
+  Status TryReadNode(PageId page, int level, NodeImagePtr* image,
+                     QueryContext* ctx, const Waker& waker,
                      BufferManager::TryReadOutcome* outcome) const;
 
   /// Tight MBR of the whole tree (reads the root). Empty rect if empty.
@@ -202,11 +210,12 @@ class RStarTree {
   /// reinsertions triggered along the way.
   Status InsertAtLevel(const Entry& entry, int level);
 
-  /// Recursive worker. `pending` receives force-reinserted entries;
+  /// Recursive worker over the node at `page`, expected at `level`.
+  /// `pending` receives force-reinserted entries;
   /// `*split` receives the new sibling's entry if this subtree split.
   /// `*mbr` always receives the subtree's new tight MBR.
-  Status InsertRecursive(PageId page, bool is_root, const Entry& entry,
-                         int target_level, uint32_t* reinserted_levels,
+  Status InsertRecursive(PageId page, int level, bool is_root,
+                         const Entry& entry, int target_level, uint32_t* reinserted_levels,
                          std::vector<std::pair<Entry, int>>* pending,
                          Rect* mbr, std::vector<Entry>* split);
 
@@ -217,7 +226,8 @@ class RStarTree {
                            std::vector<std::pair<Entry, int>>* pending,
                            std::vector<Entry>* split);
 
-  Status EraseRecursive(PageId page, bool is_root, const Rect& target,
+  Status EraseRecursive(PageId page, int level, bool is_root,
+                        const Rect& target,
                         uint64_t record_id,
                         std::vector<std::pair<Entry, int>>* orphans,
                         EraseOutcome* outcome);

@@ -32,12 +32,7 @@ Status RStarTree::ValidateRecursive(PageId page, bool is_root,
                                     std::vector<PageId>* seen) const {
   seen->push_back(page);
   Node node;
-  KCPQ_RETURN_IF_ERROR(ReadNode(page, &node));
-  if (node.level != expected_level) {
-    return Status::Corruption("node at level " + std::to_string(node.level) +
-                              " where " + std::to_string(expected_level) +
-                              " expected (unbalanced tree)");
-  }
+  KCPQ_RETURN_IF_ERROR(ReadNode(page, expected_level, &node));
   if (node.entries.size() > max_entries_) {
     return Status::Corruption("overfull node");
   }

@@ -1,6 +1,7 @@
 #include "storage/file_storage.h"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -222,6 +223,35 @@ Status FileStorageManager::DoReadPage(PageId id, Page* page,
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_reads_total);
   page->Resize(page_size());
   return ReadRaw(PageOffset(id), page->data(), page->size());
+}
+
+bool FileStorageManager::TryReadPageNow(PageId id, Page* page) {
+#if defined(__linux__) && defined(RWF_NOWAIT)
+  if (id >= page_count_ ||
+      nowait_unsupported_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  page->Resize(page_size());
+  iovec iov{page->data(), page->size()};
+  const ssize_t n = ::preadv2(fd_, &iov, 1,
+                              static_cast<off_t>(PageOffset(id)), RWF_NOWAIT);
+  if (n == static_cast<ssize_t>(page->size())) {
+    CountRead();
+    KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_reads_total);
+    KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_nowait_reads_total);
+    return true;
+  }
+  if (n < 0 && (errno == EOPNOTSUPP || errno == ENOSYS)) {
+    nowait_unsupported_.store(true, std::memory_order_relaxed);
+    return false;
+  }
+  KCPQ_METRIC_INC(obs::KcpqMetrics::Get().storage_nowait_fallbacks_total);
+  return false;
+#else
+  (void)id;
+  (void)page;
+  return false;
+#endif
 }
 
 Status FileStorageManager::WritePage(PageId id, const Page& page) {

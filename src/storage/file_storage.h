@@ -8,6 +8,7 @@
 #ifndef KCPQ_STORAGE_FILE_STORAGE_H_
 #define KCPQ_STORAGE_FILE_STORAGE_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -42,6 +43,12 @@ class FileStorageManager final : public StorageManager {
   Status Free(PageId id) override;
   Status WritePage(PageId id, const Page& page) override;
   Status Sync() override;
+
+  /// One preadv2(RWF_NOWAIT): true when the whole page came from the page
+  /// cache. EAGAIN, a short read or an error say false (the caller's
+  /// blocking or async read then reports any error). A file system that
+  /// answers EOPNOTSUPP/ENOSYS is remembered, and the store stops probing.
+  bool TryReadPageNow(PageId id, Page* page) override;
 
   /// Additionally reports kUring when the io_uring backend is compiled in
   /// (KCPQ_IOURING) and the running kernel accepts ring setup.
@@ -92,6 +99,8 @@ class FileStorageManager final : public StorageManager {
 
   int fd_;
   std::string path_;
+  /// Set once the kernel or file system refused RWF_NOWAIT.
+  std::atomic<bool> nowait_unsupported_{false};
   uint64_t page_count_ = 0;
   PageId free_head_ = kInvalidPageId;
 

@@ -115,6 +115,17 @@ class StorageManager {
     return DoReadPage(id, page, ctx);
   }
 
+  /// Reads page `id` into `*page` only if that needs no wait (the bytes are
+  /// already in memory, e.g. in the OS page cache). True means the page
+  /// was read and counted exactly like ReadPage; false means nothing was
+  /// read or counted, and the caller reads the page another way. Never
+  /// blocks on I/O, never fails. The default says false: only stores that
+  /// can tell a wait-free read apart override it (FileStorageManager), so
+  /// every decorator, memory store and mirror keeps its reads on the path
+  /// its latency model or replication expects. docs/io.md, "Reads the page
+  /// cache serves at once".
+  virtual bool TryReadPageNow(PageId /*id*/, Page* /*page*/) { return false; }
+
   /// Batched asynchronous read: issues `count` page reads and invokes
   /// `callback` exactly once per page as each completes (possibly
   /// concurrently, in any order). Each completed page counts one read,

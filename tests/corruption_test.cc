@@ -3,9 +3,13 @@
 // crash, hang, or silently succeed on mangled structures they detect.
 
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/resumable.h"
 #include "cpq/cpq.h"
+#include "cpq/resumable.h"
+#include "exec/batch.h"
 #include "gtest/gtest.h"
 #include "hs/hs.h"
 #include "tests/test_util.h"
@@ -130,6 +134,101 @@ TEST(CorruptionTest, NanCoordinateIsCorruption) {
   }
   EXPECT_EQ(HsKClosestPairs(fp.tree(), fq.tree(), 5).status().code(),
             StatusCode::kCorruption);
+}
+
+// Rewrites the first entry of `fx`'s root (an internal node) to link
+// `child`, behind the buffer's back.
+void RelinkFirstChild(TreeFixture& fx, PageId child) {
+  Page page;
+  KCPQ_CHECK_OK(fx.storage().ReadPage(fx.tree().root_page(), &page));
+  Node root;
+  KCPQ_CHECK_OK(DeserializeNode(page, &root));
+  ASSERT_FALSE(root.IsLeaf());
+  root.entries[0].id = child;
+  KCPQ_CHECK_OK(SerializeNode(root, &page));
+  KCPQ_CHECK_OK(fx.storage().WritePage(fx.tree().root_page(), page));
+}
+
+// Every query kind, on the blocking engines and as a resumable state
+// machine (batched, and one query run inline), reports Corruption for the bad
+// link in `fp` — no crash, and no hang on a link that would loop.
+void ExpectCorruptionEverywhere(TreeFixture& fp, TreeFixture& fq,
+                                const std::string& label) {
+  for (const CpqAlgorithm algorithm :
+       {CpqAlgorithm::kHeap, CpqAlgorithm::kSortedDistances,
+        CpqAlgorithm::kSimple}) {
+    CpqOptions options;
+    options.algorithm = algorithm;
+    options.k = 5;
+    EXPECT_EQ(KClosestPairs(fp.tree(), fq.tree(), options).status().code(),
+              StatusCode::kCorruption)
+        << label << " blocking " << CpqAlgorithmName(algorithm);
+  }
+  EXPECT_EQ(HsKClosestPairs(fp.tree(), fq.tree(), 5).status().code(),
+            StatusCode::kCorruption)
+      << label;
+  EXPECT_EQ(SemiClosestPairs(fp.tree(), fq.tree()).status().code(),
+            StatusCode::kCorruption)
+      << label;
+  std::vector<Entry> hits;
+  EXPECT_EQ(fp.tree().RangeQuery(UnitWorkspace(), &hits).code(),
+            StatusCode::kCorruption)
+      << label;
+  EXPECT_EQ(fp.tree().Validate().code(), StatusCode::kCorruption) << label;
+
+  std::vector<BatchQuery> batch(3);
+  batch[0].options.algorithm = CpqAlgorithm::kHeap;
+  batch[0].options.k = 5;
+  batch[1].kind = BatchQueryKind::kHsClosestPairs;
+  batch[1].options.k = 5;
+  batch[2].kind = BatchQueryKind::kSemiClosestPairs;
+  BatchOptions options;
+  options.threads = 2;
+  options.scheduler = SchedulerMode::kResumable;
+  options.max_inflight = batch.size();
+  const std::vector<BatchQueryResult> results =
+      BatchKClosestPairs(fp.tree(), fq.tree(), batch, options);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].status.code(), StatusCode::kCorruption)
+        << label << " resumable query " << i;
+  }
+
+  CpqOptions inline_options;
+  inline_options.k = 5;
+  CpqStats stats;
+  InlineWakerGate gate;
+  ResumableCpqQuery task(fp.tree(), fq.tree(), inline_options, &stats,
+                         gate.waker());
+  gate.RunToCompletion(task);
+  EXPECT_EQ(task.status().code(), StatusCode::kCorruption) << label;
+}
+
+TEST(CorruptionTest, ChildPagePastTheStoreIsCorruption) {
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(1000, 2104)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(500, 2105)));
+  RelinkFirstChild(fp, fp.storage().PageCount());
+  Page page;
+  KCPQ_ASSERT_OK(fp.storage().ReadPage(fp.tree().root_page(), &page));
+  Node node;
+  EXPECT_EQ(DeserializeNode(page, &node, fp.storage().PageCount()).code(),
+            StatusCode::kCorruption);
+  NodeImagePtr image;
+  EXPECT_EQ(NodeImage::Decode(page, &image, fp.storage().PageCount()).code(),
+            StatusCode::kCorruption);
+  ExpectCorruptionEverywhere(fp, fq, "past the store");
+}
+
+TEST(CorruptionTest, ChildAtTheWrongLevelIsCorruption) {
+  TreeFixture fp, fq;
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(1000, 2106)));
+  KCPQ_ASSERT_OK(fq.Build(MakeUniformItems(500, 2107)));
+  ASSERT_GE(fp.tree().height(), 2);
+  // The root links itself: a cycle a traversal would follow forever if a
+  // child's level were not checked against its parent's.
+  RelinkFirstChild(fp, fp.tree().root_page());
+  ExpectCorruptionEverywhere(fp, fq, "cycle");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpq/brute.h"
@@ -96,8 +97,8 @@ TEST(NodeImageTest, HitsShareOneImagePerResidency) {
   KCPQ_ASSERT_OK(fx.buffer().FlushAndClear());
   const BufferStats before = fx.buffer().stats();
   NodeImagePtr first, second;
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &first));
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &second));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &first));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &second));
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(fx.buffer().stats().misses - before.misses, 1u);
   EXPECT_EQ(fx.buffer().stats().hits - before.hits, 1u);
@@ -108,8 +109,8 @@ TEST(NodeImageTest, CapacityZeroDecodesEveryRead) {
   KCPQ_ASSERT_OK(fx.Build(MakeUniformItems(500, 12)));
   const BufferStats before = fx.buffer().stats();
   NodeImagePtr first, second;
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &first));
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &second));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &first));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &second));
   EXPECT_NE(first.get(), second.get());
   EXPECT_EQ(fx.buffer().stats().misses - before.misses, 2u);
 }
@@ -120,12 +121,15 @@ TEST(NodeImageTest, RawReadOfAnImageFrameReturnsTheStoredBytes) {
   KCPQ_ASSERT_OK(fx.Build(MakeUniformItems(500, 19)));
   KCPQ_ASSERT_OK(fx.buffer().FlushAndClear());
   NodeImagePtr root;
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &root));
-  std::vector<PageId> pages = {fx.tree().root_page()};
-  for (const Entry& e : root->entries()) pages.push_back(e.id);
-  for (const PageId id : pages) {
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &root));
+  std::vector<std::pair<PageId, int>> pages = {
+      {fx.tree().root_page(), root->level()}};
+  for (const Entry& e : root->entries()) {
+    pages.emplace_back(e.id, root->level() - 1);
+  }
+  for (const auto& [id, level] : pages) {
     NodeImagePtr image;
-    KCPQ_ASSERT_OK(fx.tree().ReadNode(id, &image));
+    KCPQ_ASSERT_OK(fx.tree().ReadNode(id, level, &image));
     Page cached, stored;
     KCPQ_ASSERT_OK(fx.buffer().Read(id, &cached));
     KCPQ_ASSERT_OK(fx.storage().ReadPage(id, &stored));
@@ -145,9 +149,10 @@ void OverwriteInStorage(TreeFixture& fx, PageId id, uint64_t marker) {
   KCPQ_CHECK_OK(fx.storage().WritePage(id, page));
 }
 
+// The first record id of the leaf at page `id`.
 uint64_t FirstId(TreeFixture& fx, PageId id) {
   NodeImagePtr image;
-  KCPQ_CHECK_OK(fx.tree().ReadNode(id, &image));
+  KCPQ_CHECK_OK(fx.tree().ReadNode(id, /*level=*/0, &image));
   return image->entries().empty() ? 0 : image->entries()[0].id;
 }
 
@@ -156,10 +161,10 @@ TEST(NodeImageStaleTest, WriteDropsTheImage) {
   KCPQ_ASSERT_OK(fx.Build(MakeUniformItems(10, 13)));  // one leaf: the root
   const PageId root = fx.tree().root_page();
   NodeImagePtr before;
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(root, &before));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(root, 0, &before));
   KCPQ_ASSERT_OK(fx.tree().Insert(Point{{0.5, 0.5}}, 999));
   NodeImagePtr after;
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(root, &after));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(root, 0, &after));
   EXPECT_EQ(after->entries().size(), before->entries().size() + 1);
   // A reader still holding the old image keeps the old, immutable node.
   EXPECT_EQ(before->entries().size(), 10u);
@@ -189,12 +194,12 @@ TEST(NodeImageStaleTest, EvictionDropsTheImage) {
   TreeFixture fx(/*buffer_pages=*/1);
   KCPQ_ASSERT_OK(fx.Build(MakeUniformItems(200, 15)));
   NodeImagePtr root;
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &root));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &root));
   ASSERT_FALSE(root->IsLeaf());
   const PageId child = root->entries()[0].id;
   const uint64_t original = FirstId(fx, child);
   // Reading the root again evicts the child's frame (capacity 1).
-  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), &root));
+  KCPQ_ASSERT_OK(fx.tree().ReadNode(fx.tree().root_page(), fx.tree().height() - 1, &root));
   OverwriteInStorage(fx, child, original + 1);
   EXPECT_EQ(FirstId(fx, child), original + 1);
 }

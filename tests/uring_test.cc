@@ -4,15 +4,30 @@
 // 50 seeds x 5 algorithms x blocking/resumable), mid-flight cancellation
 // and deadline expiry with CQEs outstanding, SQ-depth backpressure when
 // the ring is smaller than the in-flight bound, and graceful degradation
-// to the portable pool loop (never a silent downgrade).
+// to the portable pool loop (never a silent downgrade). Reads the page
+// cache serves at once skip the ring (BufferManager::TryRead probes first),
+// so the tests that exercise the ring evict their files from the page
+// cache before each run, and the no-wait tests check both sides: a warm
+// file never parks, a cold one still goes through the ring.
+//
+// A no-wait read of an evicted page still starts the kernel's readahead,
+// and on a fast device that I/O can land before the call returns: the read
+// then succeeds and the small test file is warm again. So a single cold
+// run may legitimately never reach the ring. Tests that need the ring
+// count its reads over many cold runs (or repeat a cold run until it gets
+// some), rather than over one.
 //
 // Every test hard-skips — visibly, with the probe's reason — when the
 // running kernel refuses io_uring, so a CI lane without ring support
 // reports SKIPPED rather than a hollow PASS.
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -27,6 +42,7 @@
 #include "cpq/cpq.h"
 #include "exec/batch.h"
 #include "gtest/gtest.h"
+#include "obs/kcpq_metrics.h"
 #include "rtree/rtree.h"
 #include "storage/file_storage.h"
 #include "storage/retrying_storage.h"
@@ -83,6 +99,35 @@ class FileTreeFixture {
     return tree_->Flush();
   }
 
+  /// Drops the file from the OS page cache (after writing it back), so
+  /// the next reads cannot be served without a wait and go to the ring.
+  /// A failed no-wait read may have started readahead that is still in
+  /// flight, and DONTNEED skips pages under I/O, so this repeats until
+  /// mincore shows no page of the file resident.
+  void EvictPageCache() {
+    const int fd = ::open(path_.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0) << path_;
+    ::fsync(fd);
+    struct stat st {};
+    ASSERT_EQ(::fstat(fd, &st), 0);
+    const size_t bytes = static_cast<size_t>(st.st_size);
+    void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd, 0);
+    ASSERT_NE(map, MAP_FAILED);
+    const long os_page = ::sysconf(_SC_PAGESIZE);
+    std::vector<unsigned char> resident((bytes + os_page - 1) / os_page);
+    bool evicted = false;
+    for (int attempt = 0; attempt < 1000 && !evicted; ++attempt) {
+      if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+      ASSERT_EQ(::mincore(map, bytes, resident.data()), 0);
+      evicted = std::none_of(resident.begin(), resident.end(),
+                             [](unsigned char r) { return (r & 1) != 0; });
+    }
+    ::munmap(map, bytes);
+    ::close(fd);
+    ASSERT_TRUE(evicted) << path_ << " stayed in the page cache";
+  }
+
   RStarTree& tree() { return *tree_; }
   BufferManager& buffer() { return *buffer_; }
   FileStorageManager& storage() { return *storage_; }
@@ -93,6 +138,15 @@ class FileTreeFixture {
   std::unique_ptr<BufferManager> buffer_;
   std::unique_ptr<RStarTree> tree_;
 };
+
+/// Reads the two stores' rings were handed since their last SetIoBackend.
+uint64_t RingReads(FileTreeFixture& fp, FileTreeFixture& fq) {
+  return fp.storage().UringStats().reads_submitted +
+         fq.storage().UringStats().reads_submitted;
+}
+
+/// Cold runs a test may repeat to see the ring used (see the file comment).
+constexpr int kColdAttempts = 20;
 
 void ExpectSameResults(const std::vector<BatchQueryResult>& got,
                        const std::vector<BatchQueryResult>& want,
@@ -158,6 +212,7 @@ std::vector<BatchQuery> MakeQueryMix(int seed) {
 // seed so the async path is exercised under the blocking scheduler too.
 TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
   KCPQ_SKIP_WITHOUT_URING();
+  uint64_t resumable_ring_reads = 0;
   for (int seed = 0; seed < 50; ++seed) {
     const size_t np = 80 + static_cast<size_t>(seed % 5) * 40;
     const size_t nq = 80 + static_cast<size_t>((seed / 5) % 5) * 40;
@@ -183,6 +238,8 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
 
       KCPQ_ASSERT_OK(fp.storage().SetIoBackend(IoBackend::kThreadPool));
       KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kThreadPool));
+      fp.EvictPageCache();
+      fq.EvictPageCache();
       const std::vector<BatchQueryResult> want =
           BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
 
@@ -190,12 +247,23 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
       KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
       ASSERT_EQ(fp.storage().ActiveIoBackend(), IoBackend::kUring)
           << fp.storage().IoBackendFallbackReason();
+      fp.EvictPageCache();
+      fq.EvictPageCache();
       const std::vector<BatchQueryResult> got =
           BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
 
       ExpectSameResults(got, want, label);
+      const uint64_t ring_reads = RingReads(fp, fq);
+      if (mode == SchedulerMode::kResumable) {
+        resumable_ring_reads += ring_reads;
+      } else if (options.prefetch_window > 0) {
+        // The blocking executor reads synchronously; only its speculation
+        // (every third seed) goes through the ring, never probing first.
+        EXPECT_GT(ring_reads, 0u) << label;
+      }
     }
   }
+  EXPECT_GT(resumable_ring_reads, 0u);
 }
 
 // An SQ ring much smaller than the in-flight bound: submissions must stall
@@ -273,31 +341,41 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
     }
     queries.push_back(q);
   }
-  CancellationSource cancel;
-  BatchOptions options;
-  options.threads = 4;
-  options.scheduler = SchedulerMode::kResumable;
-  options.max_inflight = queries.size();
-  options.prefetch_window = 16;
-  options.control.cancel = cancel.token();
+  // Cold runs until one hands the ring reads (see the file comment).
+  uint64_t ring_reads = 0;
+  for (int attempt = 0; attempt < kColdAttempts && ring_reads == 0;
+       ++attempt) {
+    CancellationSource cancel;
+    BatchOptions options;
+    options.threads = 4;
+    options.scheduler = SchedulerMode::kResumable;
+    options.max_inflight = queries.size();
+    options.prefetch_window = 16;
+    options.control.cancel = cancel.token();
 
-  std::thread canceller([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    cancel.Cancel();
-  });
-  const std::vector<BatchQueryResult> results =
-      BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
-  canceller.join();
+    const uint64_t ring_reads_before = RingReads(fp, fq);
+    fp.EvictPageCache();
+    fq.EvictPageCache();
+    std::thread canceller([&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      cancel.Cancel();
+    });
+    const std::vector<BatchQueryResult> results =
+        BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+    canceller.join();
+    ring_reads = RingReads(fp, fq) - ring_reads_before;
 
-  ASSERT_EQ(results.size(), queries.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].status.ok())
-        << "query " << i << ": " << results[i].status.ToString();
-    EXPECT_TRUE(results[i].outcome == QueryOutcome::kOk ||
-                results[i].outcome == QueryOutcome::kPartial ||
-                results[i].outcome == QueryOutcome::kCancelled)
-        << "query " << i;
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].status.ok())
+          << "query " << i << ": " << results[i].status.ToString();
+      EXPECT_TRUE(results[i].outcome == QueryOutcome::kOk ||
+                  results[i].outcome == QueryOutcome::kPartial ||
+                  results[i].outcome == QueryOutcome::kCancelled)
+          << "query " << i;
+    }
   }
+  EXPECT_GT(ring_reads, 0u);
 
   // The ring survived the churn: a clean query still matches blocking.
   CpqOptions clean;
@@ -307,6 +385,135 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
   auto after = KClosestPairs(fp.tree(), fq.tree(), clean, &stats);
   KCPQ_ASSERT_OK(after.status());
   EXPECT_EQ(after.value().size(), 5u);
+}
+
+/// The closest-pair, HS and semi kinds over every algorithm (no self-join:
+/// its two trees share one buffer, so its misses count on both sides).
+std::vector<BatchQuery> MakeNoWaitMix() {
+  std::vector<BatchQuery> queries;
+  for (CpqAlgorithm algorithm : kAllAlgorithms) {
+    for (size_t k : {size_t{1}, size_t{10}}) {
+      BatchQuery q;
+      q.options.algorithm = algorithm;
+      q.options.k = k;
+      queries.push_back(q);
+    }
+  }
+  BatchQuery hs;
+  hs.kind = BatchQueryKind::kHsClosestPairs;
+  hs.options.k = 10;
+  queries.push_back(hs);
+  BatchQuery semi;
+  semi.kind = BatchQueryKind::kSemiClosestPairs;
+  queries.push_back(semi);
+  return queries;
+}
+
+/// The blocking run of `queries`, then the resumable run on one worker
+/// (queries that never park run one after another, in the blocking run's
+/// order, so even an LRU buffer sees the same history). Each run starts
+/// from empty buffers. The resumable results come back in `*got`.
+void RunBlockingThenResumable(FileTreeFixture& fp, FileTreeFixture& fq,
+                              const std::vector<BatchQuery>& queries,
+                              std::vector<BatchQueryResult>* want,
+                              std::vector<BatchQueryResult>* got) {
+  BatchOptions options;
+  options.threads = 1;
+  KCPQ_ASSERT_OK(fp.buffer().FlushAndClear());
+  KCPQ_ASSERT_OK(fq.buffer().FlushAndClear());
+  *want = BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+  options.scheduler = SchedulerMode::kResumable;
+  options.max_inflight = queries.size();
+  KCPQ_ASSERT_OK(fp.buffer().FlushAndClear());
+  KCPQ_ASSERT_OK(fq.buffer().FlushAndClear());
+  *got = BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+}
+
+/// Every query of `got` was served without a single park, and at least
+/// one of its misses came from the no-wait read.
+void ExpectNoParks(const std::vector<BatchQueryResult>& got,
+                   const std::string& label) {
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].stats.io_parks, 0u) << label << " query " << i;
+    EXPECT_GT(got[i].stats.io_nowait_reads, 0u) << label << " query " << i;
+    EXPECT_LE(got[i].stats.io_nowait_reads, got[i].stats.disk_accesses())
+        << label << " query " << i;
+  }
+}
+
+// A warm file at B=0: every node read finds its page in the OS page cache,
+// so the resumable scheduler never parks, and pairs and per-query disk
+// accesses equal the blocking run's.
+TEST(UringNoWait, WarmFileAtZeroBufferNeverParks) {
+  KCPQ_SKIP_WITHOUT_URING();
+  FileTreeFixture fp(0), fq(0);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(600, 71)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(600, 72)));
+  KCPQ_ASSERT_OK(fp.storage().SetIoBackend(IoBackend::kUring));
+  KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
+  std::vector<BatchQueryResult> want, got;
+  RunBlockingThenResumable(fp, fq, MakeNoWaitMix(), &want, &got);
+  ExpectSameResults(got, want, "warm B=0");
+  ExpectNoParks(got, "warm B=0");
+  for (size_t i = 0; i < got.size(); ++i) {
+    // At B=0 every miss is a read, and every read was served at once.
+    EXPECT_EQ(got[i].stats.io_nowait_reads, got[i].stats.disk_accesses())
+        << "query " << i;
+  }
+  EXPECT_EQ(fp.storage().UringStats().reads_submitted, 0u);
+}
+
+// The same under a 6-page LRU per tree: misses served at once enter the
+// frame table through the blocking miss path, so the replacement history
+// (and with it every query's disk accesses) matches the blocking run's.
+TEST(UringNoWait, WarmFileUnderSixPageLruNeverParks) {
+  KCPQ_SKIP_WITHOUT_URING();
+  FileTreeFixture fp(6), fq(6);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(600, 73)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(600, 74)));
+  KCPQ_ASSERT_OK(fp.storage().SetIoBackend(IoBackend::kUring));
+  KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
+  std::vector<BatchQueryResult> want, got;
+  RunBlockingThenResumable(fp, fq, MakeNoWaitMix(), &want, &got);
+  ExpectSameResults(got, want, "warm LRU");
+  ExpectNoParks(got, "warm LRU");
+}
+
+// A cold file: the probe finds nothing in the page cache, so misses fall
+// back to the ring (and park) with results identical to the blocking
+// run's; the fallbacks are counted. Cold runs repeat until one parks (see
+// the file comment); every one must match the blocking run.
+TEST(UringNoWait, ColdFileFallsBackToTheRing) {
+  KCPQ_SKIP_WITHOUT_URING();
+  FileTreeFixture fp(0), fq(0);
+  KCPQ_ASSERT_OK(fp.Build(MakeUniformItems(600, 75)));
+  KCPQ_ASSERT_OK(fq.Build(MakeClusteredItems(600, 76)));
+  KCPQ_ASSERT_OK(fp.storage().SetIoBackend(IoBackend::kUring));
+  KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
+  const std::vector<BatchQuery> queries = MakeNoWaitMix();
+  BatchOptions options;
+  options.threads = 2;
+  const std::vector<BatchQueryResult> want =
+      BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+  options.scheduler = SchedulerMode::kResumable;
+  options.max_inflight = queries.size();
+  obs::Counter* fallbacks =
+      obs::KcpqMetrics::Get().storage_nowait_fallbacks_total;
+  const uint64_t fallbacks_before = fallbacks->value();
+  uint64_t parks = 0;
+  for (int attempt = 0; attempt < kColdAttempts && parks == 0; ++attempt) {
+    fp.EvictPageCache();
+    fq.EvictPageCache();
+    const std::vector<BatchQueryResult> got =
+        BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
+    ExpectSameResults(got, want, "cold attempt " + std::to_string(attempt));
+    for (const BatchQueryResult& r : got) parks += r.stats.io_parks;
+  }
+  EXPECT_GT(parks, 0u);
+  EXPECT_GT(RingReads(fp, fq), 0u);
+  if (obs::MetricsCompiledIn() && obs::Enabled()) {
+    EXPECT_GT(fallbacks->value(), fallbacks_before);
+  }
 }
 
 // Graceful degradation, storage level: a decorator refuses kUring up
