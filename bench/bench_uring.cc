@@ -17,8 +17,9 @@
 // Both runs must produce bit-identical pairs and identical per-query
 // disk-access counts — the speedup comes from cheaper submission and
 // batched completion, never from different work. The page cache is
-// dropped (POSIX_FADV_DONTNEED) before each run so both backends read
-// from the device.
+// dropped (POSIX_FADV_DONTNEED, repeated until mincore sees no page of
+// either file resident) before each run so both backends read from the
+// device; the JSON records the resident share each cold run started at.
 //
 // A fourth, fully-buffered run measures the batch's compute floor — the
 // query work no completion path can touch — and the harness reports both
@@ -34,6 +35,8 @@
 // Results also land in BENCH_uring.json for machine consumption.
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -42,6 +45,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -112,14 +116,50 @@ FileTree BuildFileTree(size_t n, uint64_t seed) {
   return ft;
 }
 
-/// Evict the file's pages so the next run reads from the device, not the
-/// page cache — the backends race on real completions.
-void DropCaches(const FileTree& ft) {
+/// OS pages of a file, and how many of them the page cache holds.
+struct Residency {
+  size_t resident = 0;
+  size_t pages = 0;
+};
+
+/// Bounded eviction attempts per file (1 ms apart).
+constexpr int kEvictTries = 1000;
+
+/// Evicts the file's pages so the next run reads from the device, not the
+/// page cache — the backends race on real completions. One fsync plus
+/// POSIX_FADV_DONTNEED is not enough: DONTNEED skips pages under I/O (such
+/// as readahead still in flight), so the eviction repeats until mincore
+/// shows no page of the file resident, at most kEvictTries times. Returns
+/// what mincore saw last: zero resident pages for a truly cold file.
+Residency DropCaches(const FileTree& ft) {
+  Residency r;
   const int fd = ::open(ft.path.c_str(), O_RDONLY);
-  if (fd < 0) return;
+  KCPQ_CHECK_OK(fd >= 0 ? Status::OK() : Status::IoError("open " + ft.path));
   ::fsync(fd);
-  ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+  struct stat st {};
+  KCPQ_CHECK_OK(::fstat(fd, &st) == 0 ? Status::OK()
+                                      : Status::IoError("fstat " + ft.path));
+  const size_t bytes = static_cast<size_t>(st.st_size);
+  const size_t os_page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  r.pages = (bytes + os_page - 1) / os_page;
+  void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd, 0);
+  KCPQ_CHECK_OK(map != MAP_FAILED ? Status::OK()
+                                  : Status::IoError("mmap " + ft.path));
+  std::vector<unsigned char> in_core(r.pages);
+  for (int attempt = 0; attempt < kEvictTries; ++attempt) {
+    if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+    KCPQ_CHECK_OK(::mincore(map, bytes, in_core.data()) == 0
+                      ? Status::OK()
+                      : Status::IoError("mincore " + ft.path));
+    r.resident = static_cast<size_t>(
+        std::count_if(in_core.begin(), in_core.end(),
+                      [](unsigned char c) { return (c & 1) != 0; }));
+    if (r.resident == 0) break;
+  }
+  ::munmap(map, bytes);
   ::close(fd);
+  return r;
 }
 
 std::vector<BatchQuery> MakeBatch() {
@@ -137,12 +177,17 @@ struct BatchOutcome {
   double makespan = 0.0;
   uint64_t disk_accesses = 0;
   IoEventLoopStats uring;  // zeroes for the pool run
+  /// Share of both files' OS pages still cached when the run started.
+  double resident_share = 0.0;
 };
 
 BatchOutcome RunBatch(FileTree& p, FileTree& q, IoBackend backend,
                       size_t buffer_pages = kBufferPages) {
-  DropCaches(p);
-  DropCaches(q);
+  const Residency rp = DropCaches(p);
+  const Residency rq = DropCaches(q);
+  const double resident_share =
+      static_cast<double>(rp.resident + rq.resident) /
+      static_cast<double>(std::max<size_t>(rp.pages + rq.pages, 1));
   if (backend == IoBackend::kUring) {
     FileStorageManager::UringOptions uopt;
     uopt.sq_depth = static_cast<unsigned>(kMaxInflight);
@@ -170,6 +215,7 @@ BatchOutcome RunBatch(FileTree& p, FileTree& q, IoBackend backend,
   BatchStats stats;
   Timer timer;
   BatchOutcome out;
+  out.resident_share = resident_share;
   out.results =
       BatchKClosestPairs(*tp.value(), *tq.value(), batch, options, &stats);
   out.makespan = timer.ElapsedSeconds();
@@ -311,6 +357,16 @@ void Main() {
   json.AddScalar("uring_sq_full_stalls",
                  static_cast<double>(uring.uring.sq_full_stalls));
   json.AddScalar("identical_results", identical ? 1.0 : 0.0);
+  // The cold runs' starting page-cache residency: 0 means the eviction
+  // above was verified complete, so every run read from the device.
+  std::printf("page-cache share resident at the start of each cold run: "
+              "pool %.4f / %.4f, uring %.4f / %.4f\n",
+              pool_a.resident_share, pool_b.resident_share,
+              uring_a.resident_share, uring_b.resident_share);
+  json.AddScalar("cold_resident_share_pool_a", pool_a.resident_share);
+  json.AddScalar("cold_resident_share_uring_a", uring_a.resident_share);
+  json.AddScalar("cold_resident_share_pool_b", pool_b.resident_share);
+  json.AddScalar("cold_resident_share_uring_b", uring_b.resident_share);
   json.Write();
 
   if (!identical) std::exit(1);

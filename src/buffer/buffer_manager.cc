@@ -253,16 +253,18 @@ Status BufferManager::DeliverPassThrough(Page page, const ReadSink& sink) {
 }
 
 Status BufferManager::Read(PageId id, Page* out, QueryContext* ctx) {
-  return ReadInto(id, ctx, ReadSink{out, nullptr, nullptr});
+  TryReadOutcome outcome;
+  return ReadInto(id, ctx, ReadSink{out, nullptr, nullptr}, &outcome);
 }
 
 Status BufferManager::ReadImage(PageId id, const PageCodec* codec,
                                 PageImage* out, QueryContext* ctx) {
-  return ReadInto(id, ctx, ReadSink{nullptr, codec, out});
+  TryReadOutcome outcome;
+  return ReadInto(id, ctx, ReadSink{nullptr, codec, out}, &outcome);
 }
 
 Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
-                               const ReadSink& sink) {
+                               const ReadSink& sink, TryReadOutcome* outcome) {
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   // A miss always counts as a disk access (the paper's metric) whether the
   // page then arrives via a claimed prefetch or a synchronous read — the
@@ -271,7 +273,7 @@ Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
     CountMiss();
     Page page;
     if (!(prefetch_active_.load(std::memory_order_relaxed) &&
-          ClaimPrefetched(id, &page, ctx))) {
+          ClaimPrefetched(id, &page, ctx, &outcome->prefetch_claim))) {
       KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
     }
     return DeliverPassThrough(std::move(page), sink);
@@ -282,6 +284,7 @@ Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
   if (it != shard.frames.end()) {
     CountHit();
     shard.policy->OnAccess(id);
+    outcome->hit = true;
     return Deliver(it->second, sink);
   }
   // Miss: fetch under the shard lock, so concurrent readers of the same
@@ -289,7 +292,7 @@ Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
   CountMiss();
   Page page;
   if (!(prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, &page, ctx))) {
+        ClaimPrefetched(id, &page, ctx, &outcome->prefetch_claim))) {
     KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
   }
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
@@ -425,7 +428,8 @@ void BufferManager::OnPrefetchComplete(AsyncPageRead done) {
   }
 }
 
-bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx) {
+bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx,
+                                    bool* speculative_claim) {
   obs::TraceBuffer* trace = ctx != nullptr ? ctx->trace() : nullptr;
   const uint64_t start_ns = trace != nullptr ? trace->NowNs() : 0;
   bool speculative = true;
@@ -469,6 +473,7 @@ bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx) {
   // re-issue their own fetch).
   for (const Waker& waker : waiters) waker();
   if (!speculative) return true;
+  *speculative_claim = true;
   CountPrefetchHit();
   if (trace != nullptr) {
     // The io_overlap span is the residual wait a demand read paid for an
@@ -529,6 +534,9 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
                                   const Waker& waker, TryReadOutcome* outcome,
                                   const ReadSink& sink) {
   *outcome = TryReadOutcome{};
+  // No waker to fire: the caller drives the query inline, so it takes the
+  // synchronous fetch and never parks.
+  if (!waker) return ReadInto(id, ctx, sink, outcome);
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
   bool issue = false;
   bool served = false;

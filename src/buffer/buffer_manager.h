@@ -56,7 +56,7 @@
 // they do without prefetch.
 //
 // Non-blocking reads (docs/io.md, "completion-driven scheduling"):
-// TryRead is the resumable engines' Read. A resident page is served
+// TryRead is the query state machines' Read. A resident page is served
 // exactly like a blocking hit; a non-resident one either claims a staged
 // (speculative or demand) copy — counted exactly like a blocking miss,
 // inserted through the same eviction path so the replacement policy sees
@@ -73,7 +73,9 @@
 // the blocking path's fetch-under-shard-lock provides. Demand entries
 // share the prefetch area's machinery but are exempt from its capacity
 // cap and invisible to the speculation counters (never issued / hit /
-// wasted). Demand fetches carry no QueryContext (async completions are
+// wasted). A TryRead with an empty waker is a plain Read that reports its
+// outcome: the query drives itself inline and has nothing to park on.
+// Demand fetches carry no QueryContext (async completions are
 // context-free by the storage contract), so deadline-aware retry
 // abandonment doesn't apply to them; a failed fetch is delivered to the
 // first claimer as its read's error, and later waiters re-issue fresh.
@@ -83,8 +85,9 @@
 // queries sharing the buffer would otherwise see each other's misses in a
 // before/after delta — so every hit/miss is also recorded in a
 // thread-local table keyed by buffer instance; ThreadStats() returns the
-// calling thread's view, and the query engines compute their disk-access
-// deltas from it. The per-thread tables register themselves in a global
+// calling thread's view, and the ε-join and multiway engines compute
+// their disk-access deltas from it (the CPQ, HS and Semi-CPQ state
+// machines count their own reads from TryReadOutcome instead). The per-thread tables register themselves in a global
 // registry and fold their counts into a retired pool when their thread
 // exits, so AggregateStats() — the sum over all threads, living and dead —
 // never undercounts a batch whose workers finished before collection.
@@ -212,7 +215,10 @@ class BufferManager {
   /// TryRead, which may park again). Counting matches Read exactly: one
   /// miss per serve at capacity 0, one miss per residency-establishment
   /// (plus hits) otherwise, and the replacement policy sees the identical
-  /// OnInsert/OnAccess history.
+  /// OnInsert/OnAccess history. An empty `waker` never parks: the read
+  /// is Read's synchronous fetch (claiming or waiting out a staged page,
+  /// with the io_wait trace span and `ctx` handed to storage), and the
+  /// outcome still tells hit, miss and speculative claim apart.
   Status TryRead(PageId id, Page* out, QueryContext* ctx, const Waker& waker,
                  TryReadOutcome* outcome);
 
@@ -316,7 +322,10 @@ class BufferManager {
   /// Serves `sink` from a page read at capacity 0, which no frame keeps.
   Status DeliverPassThrough(Page page, const ReadSink& sink);
 
-  Status ReadInto(PageId id, QueryContext* ctx, const ReadSink& sink);
+  /// The synchronous read: a miss fetches under the shard lock. Reports
+  /// a hit or a speculative claim in `*outcome` (never `parked`).
+  Status ReadInto(PageId id, QueryContext* ctx, const ReadSink& sink,
+                  TryReadOutcome* outcome);
   Status TryReadInto(PageId id, QueryContext* ctx, const Waker& waker,
                      TryReadOutcome* outcome, const ReadSink& sink);
 
@@ -373,7 +382,9 @@ class BufferManager {
   /// Demand-miss hook: claims `id` from the prefetch area (waiting out an
   /// in-flight read) into `*out`. False when the page is not there or its
   /// speculative read failed — caller falls back to the synchronous path.
-  bool ClaimPrefetched(PageId id, Page* out, QueryContext* ctx);
+  /// Sets `*speculative_claim` when the claimed page was speculation's.
+  bool ClaimPrefetched(PageId id, Page* out, QueryContext* ctx,
+                       bool* speculative_claim);
 
   /// Async-read completion (runs on I/O threads; takes only prefetch mu).
   void OnPrefetchComplete(AsyncPageRead done);

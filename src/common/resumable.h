@@ -11,6 +11,12 @@
 // in-flight I/O-bound queries (docs/io.md, "completion-driven
 // scheduling").
 //
+// A task built with an empty Waker is driven inline instead: TryRead then
+// takes the synchronous read, nothing ever parks, and one Step() runs the
+// query to completion on the calling thread. That is how the blocking
+// entry points (KClosestPairs, SemiClosestPairs, HsKClosestPairs) and the
+// batch executor's thread-pool mode run the very same state machines.
+//
 // The interface lives in common (not exec) because the engines
 // implement it without depending on the executor.
 
@@ -24,7 +30,8 @@
 namespace kcpq {
 
 /// Continuation fired by the buffer when a parked task's page fetch
-/// completes (or its staging entry is invalidated). May be invoked from
+/// completes (or its staging entry is invalidated); empty for a task
+/// driven inline, which never parks. May be invoked from
 /// an I/O completion thread; implementations must be thread-safe, must
 /// not block on storage, and must tolerate firing after the task has
 /// already finished (the scheduler's wake-state machine drops stale

@@ -197,13 +197,13 @@ struct CpqStats {
   /// QueryControl::max_node_accesses limits. Unlike disk accesses it is
   /// independent of buffer state, so budget stops are deterministic.
   uint64_t node_accesses = 0;
-  /// Speculative reads issued / claimed by this query's thread (both trees
+  /// Speculative reads issued / claimed by this query (both trees
   /// combined; zero with prefetch_window = 0). Wasted speculation is a
   /// buffer-level quantity — completions land on I/O threads — and is
   /// reported by BufferManager::stats() as issued - hits after a drain.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
-  /// Resumable-scheduler execution only (zero under the blocking path):
+  /// Scheduler-driven execution only (zero when the query runs inline):
   /// how many times the query parked on a non-resident page and the total
   /// wall time it spent parked. Parked time is scheduler wait, not work —
   /// a multiplexed worker runs other queries during it. `io_nowait_reads`

@@ -5,6 +5,7 @@
 
 #include "geometry/metrics.h"
 #include "obs/explain.h"
+#include "obs/kcpq_metrics.h"
 #include "obs/trace.h"
 
 namespace kcpq {
@@ -40,6 +41,36 @@ uint64_t MaxPointsOfNode(const NodeImage& node, uint64_t max_entries) {
                        MaxPointsAtLevel(node.level() - 1, max_entries));
 }
 
+void FoldCpqMetrics(const CpqStats& s, double seconds, QueryFamily family) {
+#if KCPQ_METRICS
+  if (!obs::Enabled()) return;
+  const obs::KcpqMetrics& m = obs::KcpqMetrics::Get();
+  m.cpq_queries_total->Increment();
+  m.cpq_node_pairs_total->Add(s.node_pairs_processed);
+  m.cpq_candidates_generated_total->Add(s.candidate_pairs_generated);
+  m.cpq_candidates_pruned_total->Add(s.candidate_pairs_pruned);
+  m.cpq_distance_computations_total->Add(s.point_distance_computations);
+  m.cpq_leaf_pairs_skipped_total->Add(s.leaf_pairs_skipped);
+  m.cpq_query_node_accesses->Observe(static_cast<double>(s.node_accesses));
+  if (seconds >= 0.0) {
+    m.cpq_query_seconds->Observe(seconds);
+    FamilyQuerySeconds(family)->Observe(seconds);
+  }
+#else
+  (void)s;
+  (void)seconds;
+  (void)family;
+#endif
+}
+
+bool MetricsTimingOn() {
+#if KCPQ_METRICS
+  return obs::Enabled();
+#else
+  return false;
+#endif
+}
+
 DescendChoice ChooseDescend(int level_p, int level_q,
                             HeightStrategy strategy) {
   if (level_p == 0 && level_q == 0) return DescendChoice::kLeaves;
@@ -72,98 +103,6 @@ CpqEngine::CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
       accounting_(options.context != nullptr ||
                   !options.control.IsUnlimited()),
       certificate_(options.k) {}
-
-Status CpqEngine::Run(std::vector<PairResult>* out) {
-  *stats_ = CpqStats{};
-  if (options_.k == 0) return Status::OK();
-  if (tree_p_.size() == 0 || tree_q_.size() == 0) return Status::OK();
-
-  const BufferStats before_p = tree_p_.buffer()->ThreadStats();
-  const BufferStats before_q = tree_q_.buffer()->ThreadStats();
-  prefetch_.Configure(tree_p_.buffer(), tree_q_.buffer(),
-                      options_.prefetch_window,
-                      accounting_ ? context_ : nullptr);
-
-  const int root_level = PairLevel(tree_p_.height() - 1, tree_q_.height() - 1);
-  // The root pair enters the search unconditionally: it is the one pair
-  // "considered" that no GenerateCandidates call accounts for.
-  if (profile_ != nullptr) profile_->Considered(root_level, 1);
-
-  // Pre-trip check (a pre-cancelled or pre-expired query must not touch
-  // the trees at all). Nothing was examined, so certify nothing: bound 0
-  // at every rank.
-  Status engine_status;
-  if (ShouldStop(0)) {
-    FoldFrontier(objective_.WeakestKey(),
-                 std::numeric_limits<uint64_t>::max());
-    if (profile_ != nullptr) profile_->Deferred(root_level, 1);
-  } else {
-    QueryContext* read_ctx = accounting_ ? context_ : nullptr;
-    Rect mbr_p, mbr_q;
-    Status root_status = tree_p_.RootMbr(&mbr_p, read_ctx);
-    if (root_status.ok()) root_status = tree_q_.RootMbr(&mbr_q, read_ctx);
-    if (root_status.code() == StatusCode::kDeadlineExceeded) {
-      // Storage abandoned a retry before anything was examined: partial
-      // with a vacuous certificate, same as a pre-expired deadline.
-      stop_ = StopCause::kDeadline;
-      FoldFrontier(objective_.WeakestKey(),
-                   std::numeric_limits<uint64_t>::max());
-      if (profile_ != nullptr) profile_->Deferred(root_level, 1);
-    } else if (!root_status.ok()) {
-      engine_status = root_status;
-    } else {
-      tie_context_.root_area_p = mbr_p.Area();
-      tie_context_.root_area_q = mbr_q.Area();
-      tie_context_.metric = options_.metric;
-
-      NodeRef root_p{tree_p_.root_page(), tree_p_.height() - 1, mbr_p, 1,
-                     tree_p_.size()};
-      NodeRef root_q{tree_q_.root_page(), tree_q_.height() - 1, mbr_q, 1,
-                     tree_q_.size()};
-
-      if (options_.algorithm == CpqAlgorithm::kHeap) {
-        engine_status = RunHeap(root_p, root_q);
-      } else {
-        engine_status = ProcessPairRecursive(root_p, root_q);
-      }
-    }
-  }
-
-  if (prefetch_.enabled()) {
-    // Settle speculation before reading the deltas: waits out in-flight
-    // reads and discards staged-but-unclaimed pages as waste, so the
-    // accounting identity holds at query end. Runs on the error paths too:
-    // staged entries record this query's context as their issuer, which
-    // must not outlive the context. (Concurrent queries sharing a buffer
-    // may drain each other's staged pages — results are unaffected, the
-    // victims just fall back to synchronous reads.)
-    tree_p_.buffer()->DrainPrefetches();
-    if (tree_q_.buffer() != tree_p_.buffer()) {
-      tree_q_.buffer()->DrainPrefetches();
-    }
-  }
-  KCPQ_RETURN_IF_ERROR(engine_status);
-
-  const BufferStats after_p = tree_p_.buffer()->ThreadStats();
-  const BufferStats after_q = tree_q_.buffer()->ThreadStats();
-  stats_->disk_accesses_p = after_p.misses - before_p.misses;
-  stats_->disk_accesses_q = after_q.misses - before_q.misses;
-  stats_->node_accesses = node_accesses_;
-  // Issue and claim both happen on the query's thread, so these deltas are
-  // exact per query; don't double-count a self-join's shared buffer.
-  stats_->prefetch_issued = after_p.prefetch_issued - before_p.prefetch_issued;
-  stats_->prefetch_hits = after_p.prefetch_hits - before_p.prefetch_hits;
-  if (tree_q_.buffer() != tree_p_.buffer()) {
-    stats_->prefetch_issued +=
-        after_q.prefetch_issued - before_q.prefetch_issued;
-    stats_->prefetch_hits += after_q.prefetch_hits - before_q.prefetch_hits;
-  }
-
-  FinalizeQualityAndTrace();
-
-  *out = std::move(results_).Extract();
-  return Status::OK();
-}
 
 void CpqEngine::FinalizeQualityAndTrace() {
   // Quality certificate. A completed query keeps the default (exact,
@@ -237,17 +176,6 @@ bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
   // here plus every distinct buffer page the query has read.
   stop_ = context_->Check(node_accesses_, candidate_bytes_ + extra_bytes);
   return stop_ != StopCause::kNone;
-}
-
-Status CpqEngine::ReadPair(NodeRef* ref_p, NodeRef* ref_q,
-                           NodeImagePtr* node_p, NodeImagePtr* node_q) {
-  QueryContext* read_ctx = accounting_ ? context_ : nullptr;
-  KCPQ_RETURN_IF_ERROR(
-      tree_p_.ReadNode(ref_p->page, ref_p->level, node_p, read_ctx));
-  KCPQ_RETURN_IF_ERROR(
-      tree_q_.ReadNode(ref_q->page, ref_q->level, node_q, read_ctx));
-  OnPairRead(ref_p, ref_q, **node_p, **node_q);
-  return Status::OK();
 }
 
 void CpqEngine::OnPairRead(NodeRef* ref_p, NodeRef* ref_q,
@@ -584,202 +512,6 @@ void CpqEngine::ExpandHeap(const NodeRef& ref_p, const NodeImage& node_p,
     heap->push_back(cand);
     std::push_heap(heap->begin(), heap->end(), CandidateGreater());
   }
-}
-
-Status CpqEngine::ProcessPairRecursive(const NodeRef& ref_p,
-                                       const NodeRef& ref_q) {
-  // Stop check at node-pair granularity, *before* the reads: a stopped
-  // query folds this unexpanded pair into the frontier bound instead.
-  if (ShouldStop(0)) {
-    FoldFrontier(objective_.NodeKey(ref_p.mbr, ref_q.mbr),
-                 SaturatingMul(ref_p.max_points, ref_q.max_points));
-    if (profile_ != nullptr) {
-      profile_->Deferred(PairLevel(ref_p.level, ref_q.level), 1);
-    }
-    return Status::OK();
-  }
-
-  NodeRef p = ref_p;
-  NodeRef q = ref_q;
-  NodeImagePtr node_p, node_q;
-  const Status read_status = ReadPair(&p, &q, &node_p, &node_q);
-  if (read_status.code() == StatusCode::kDeadlineExceeded) {
-    // The storage stack abandoned a retry the deadline could not cover.
-    // The pair stays unexpanded: latch the deadline stop and fold it.
-    stop_ = StopCause::kDeadline;
-    FoldFrontier(objective_.NodeKey(ref_p.mbr, ref_q.mbr),
-                 SaturatingMul(ref_p.max_points, ref_q.max_points));
-    if (profile_ != nullptr) {
-      // ReadPair failed before recording a visit, so the pair is deferred.
-      profile_->Deferred(PairLevel(ref_p.level, ref_q.level), 1);
-    }
-    return Status::OK();
-  }
-  KCPQ_RETURN_IF_ERROR(read_status);
-
-  const DescendChoice choice =
-      ChooseDescend(node_p->level(), node_q->level(), options_.height_strategy);
-  if (choice == DescendChoice::kLeaves) {
-    ProcessLeaves(*node_p, *node_q, p.page == q.page);
-    return Status::OK();
-  }
-
-  std::vector<Candidate> candidates;
-  ExpandRecursive(p, *node_p, q, *node_q, choice, &candidates);
-  const uint64_t frame_bytes = candidates.size() * sizeof(Candidate);
-  candidate_bytes_ += frame_bytes;
-  for (const Candidate& cand : candidates) {
-    // Re-test against T at descend time: T may have tightened while the
-    // earlier candidates of this very list were processed (the mechanism
-    // that makes the ascending-MINMINDIST order pay off).
-    if (Prunes() && cand.key > bound_) {
-      NotePruned(cand.p.level, cand.q.level, cand.key, 1);
-      continue;
-    }
-    // Once stopped (possibly by a deeper recursion), drain: the remaining
-    // un-pruned candidates become frontier, not work.
-    if (stop_ != StopCause::kNone) {
-      FoldFrontier(cand.key, cand.max_pairs);
-      if (profile_ != nullptr) {
-        profile_->Deferred(PairLevel(cand.p.level, cand.q.level), 1);
-      }
-      continue;
-    }
-    const Status s = ProcessPairRecursive(cand.p, cand.q);
-    if (!s.ok()) {
-      candidate_bytes_ -= frame_bytes;
-      return s;
-    }
-  }
-  candidate_bytes_ -= frame_bytes;
-  return Status::OK();
-}
-
-Status CpqEngine::RunHeap(const NodeRef& root_p, const NodeRef& root_q) {
-  // Min-heap of node pairs by (MINMINDIST, tie chain); CP1-CP5 of
-  // Section 3.5. Open-coded over a vector with std::push_heap / pop_heap —
-  // the exact operations std::priority_queue is specified to perform, so
-  // the pop order is bit-identical to the previous implementation — which
-  // exposes the underlying array: the prefetch scheduler peeks at the
-  // frontier's best pairs without disturbing the heap.
-  const CandidateGreater heap_order{};
-  std::vector<Candidate> heap;
-
-  Candidate first;
-  first.p = root_p;
-  first.q = root_q;
-  first.key = objective_.NodeKey(root_p.mbr, root_q.mbr);
-  first.max_pairs = SaturatingMul(root_p.max_points, root_q.max_points);
-  heap.push_back(first);
-
-  // On a stop, the popped pair plus everything still queued is the
-  // frontier; fold it all so the per-rank certificate sees the full
-  // capacity profile (the scalar bound needs only the popped key — the
-  // heap pops in ascending MINMINDIST — but rank bounds improve with
-  // every entry). FoldFrontier and the profile's per-level counts are
-  // order-insensitive, so the remaining entries are walked in array
-  // order, no pops needed.
-  const auto drain_into_certificate = [&](const Candidate& popped) {
-    FoldFrontier(popped.key, popped.max_pairs);
-    if (profile_ != nullptr) {
-      profile_->Deferred(PairLevel(popped.p.level, popped.q.level), 1);
-    }
-    for (const Candidate& c : heap) {
-      FoldFrontier(c.key, c.max_pairs);
-      if (profile_ != nullptr) {
-        profile_->Deferred(PairLevel(c.p.level, c.q.level), 1);
-      }
-    }
-    heap.clear();
-  };
-
-  std::vector<Candidate> candidates;
-  std::vector<uint32_t> spec_order;
-  while (!heap.empty()) {
-    stats_->max_heap_size = std::max<uint64_t>(stats_->max_heap_size,
-                                               heap.size());
-    if (prefetch_.enabled()) {
-      // Speculate on the frontier's best W pairs — including heap[0], the
-      // pair read next, so even a child pushed by the previous expansion
-      // (the best-first descent chain, where the next pop is brand new)
-      // has its reads in flight before ReadPair demands them. The W
-      // smallest entries of a binary heap all live in the first 2^W - 1
-      // array slots, so a bounded prefix scan finds the exact top-W for
-      // W <= 9 and a close approximation above (speculation tolerates
-      // approximation; the claim path does not care which pages arrive).
-      //
-      // Selection must use the pop order itself (CandidateLess: MINMINDIST
-      // plus the tie chain) — with overlapping data most frontier keys tie
-      // at 0, and any other tie-break speculates on pairs the heap will
-      // not pop next. The rank is passed as the scheduler key so pages of
-      // the nearest pops are submitted, and therefore complete, first.
-      prefetch_.Clear();
-      const size_t scan = std::min<size_t>(heap.size(), 512);
-      spec_order.clear();
-      for (uint32_t i = 0; i < scan; ++i) {
-        if (heap[i].key > bound_) continue;  // would be CP5-cut
-        spec_order.push_back(i);
-      }
-      const size_t take = std::min(spec_order.size(), prefetch_.window());
-      std::partial_sort(spec_order.begin(),
-                        spec_order.begin() + static_cast<ptrdiff_t>(take),
-                        spec_order.end(), [&heap](uint32_t a, uint32_t b) {
-                          return CandidateLess()(heap[a], heap[b]);
-                        });
-      for (size_t r = 0; r < take; ++r) {
-        const Candidate& c = heap[spec_order[r]];
-        prefetch_.Add(static_cast<double>(r), c.p.page, c.q.page);
-      }
-      prefetch_.Issue();
-    }
-    const Candidate top = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), heap_order);
-    heap.pop_back();
-    if (trace_ != nullptr) {
-      obs::TraceEvent e;
-      e.kind = obs::TraceEventKind::kHeapPop;
-      e.level_p = static_cast<int16_t>(top.p.level);
-      e.level_q = static_cast<int16_t>(top.q.level);
-      e.value = top.key;
-      e.bound = bound_;
-      trace_->RecordNow(e);
-    }
-    if (top.key > bound_) {
-      // Nothing better can remain (CP5): the popped pair and everything
-      // still queued are cut off by the best-first order.
-      if (profile_ != nullptr) {
-        profile_->PrunedOrder(PairLevel(top.p.level, top.q.level), 1);
-        for (const Candidate& c : heap) {
-          profile_->PrunedOrder(PairLevel(c.p.level, c.q.level), 1);
-        }
-      }
-      break;
-    }
-    if (ShouldStop(heap.size() * sizeof(Candidate))) {
-      drain_into_certificate(top);
-      break;
-    }
-
-    NodeRef p = top.p;
-    NodeRef q = top.q;
-    NodeImagePtr node_p, node_q;
-    const Status read_status = ReadPair(&p, &q, &node_p, &node_q);
-    if (read_status.code() == StatusCode::kDeadlineExceeded) {
-      stop_ = StopCause::kDeadline;
-      drain_into_certificate(top);
-      break;
-    }
-    KCPQ_RETURN_IF_ERROR(read_status);
-
-    const DescendChoice choice = ChooseDescend(
-        node_p->level(), node_q->level(), options_.height_strategy);
-    if (choice == DescendChoice::kLeaves) {
-      ProcessLeaves(*node_p, *node_q, p.page == q.page);
-      continue;
-    }
-    ExpandHeap(p, *node_p, q, *node_q, choice, &candidates, &heap);
-  }
-  return Status::OK();
 }
 
 }  // namespace cpq_internal

@@ -1,6 +1,14 @@
 // Internal engine shared by the five CPQ algorithms. Not part of the
 // public API; include cpq/cpq.h instead.
-
+//
+// CpqEngine holds one query's state (pruning bound T, result heap,
+// certificate, counters) and the kernels every algorithm is built from:
+// reading a node pair's bookkeeping, the leaf kernel, candidate
+// generation, bound tightening, pruning and the stop / frontier rules.
+// It has no traversal of its own: the one traversal of all five
+// algorithms (plus self, farthest and rect queries) is the state machine
+// in cpq/resumable.h, which drives these kernels whether it runs inline
+// (KClosestPairs) or on the completion-driven scheduler.
 #ifndef KCPQ_CPQ_ENGINE_H_
 #define KCPQ_CPQ_ENGINE_H_
 
@@ -62,7 +70,7 @@ struct CandidateLess {
   }
 };
 
-/// RunHeap's pop order: a min-heap through the reversed CandidateLess.
+/// The HEAP pop order: a min-heap through the reversed CandidateLess.
 struct CandidateGreater {
   bool operator()(const Candidate& a, const Candidate& b) const {
     return CandidateLess()(b, a);
@@ -79,35 +87,20 @@ enum class DescendChoice { kBoth, kFirstOnly, kSecondOnly, kLeaves };
 
 DescendChoice ChooseDescend(int level_p, int level_q, HeightStrategy strategy);
 
-/// One K-CPQ execution. Construct, Run once, discard.
+/// One K-CPQ execution's state and kernels, owned and driven by
+/// ResumableCpqQuery (cpq/resumable.h).
 class CpqEngine {
  public:
   CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
             const CpqOptions& options, CpqStats* stats);
 
-  Status Run(std::vector<PairResult>* out);
-
  private:
-  /// The resumable adapter (cpq/resumable.h) re-drives this engine's
-  /// traversal as an explicit state machine; it reuses the kernels
-  /// (ProcessLeaves, ExpandRecursive, ExpandHeap, ...) and the control state
-  /// directly so the two execution modes cannot drift apart.
+  /// The traversal (cpq/resumable.h) drives the kernels below and reads
+  /// and writes the control state directly.
   friend class ::kcpq::ResumableCpqQuery;
 
-  /// Recursive driver (kNaive/kExhaustive/kSimple/kSortedDistances).
-  Status ProcessPairRecursive(const NodeRef& ref_p, const NodeRef& ref_q);
-
-  /// Iterative driver (kHeap).
-  Status RunHeap(const NodeRef& root_p, const NodeRef& root_q);
-
-  /// Reads both nodes of a pair (two counted accesses) and refreshes the
-  /// refs' MBR / min_points from the actual node contents.
-  Status ReadPair(NodeRef* ref_p, NodeRef* ref_q, NodeImagePtr* node_p,
-                  NodeImagePtr* node_q);
-
-  /// ReadPair's bookkeeping once both nodes are in hand (shared with the
-  /// resumable adapter, which reads them across parks): counts the pair,
-  /// refreshes the refs and records the visit.
+  /// A node pair's bookkeeping once both nodes are in hand: counts the
+  /// pair, refreshes the refs from the nodes and records the visit.
   void OnPairRead(NodeRef* ref_p, NodeRef* ref_q, const NodeImage& node_p,
                   const NodeImage& node_q);
 
@@ -124,7 +117,7 @@ class CpqEngine {
                           const NodeRef& ref_q, const NodeImage& node_q,
                           DescendChoice choice, std::vector<Candidate>* out);
 
-  /// Expansion step of the recursive drivers (kExhaustive / kSimple /
+  /// Expansion step of the recursive algorithms (kExhaustive / kSimple /
   /// kSortedDistances / kNaive): generates the pair's candidates, tightens
   /// T, orders them (STD) and speculates on the first survivors. Returns
   /// the number of speculative reads issued.
@@ -133,7 +126,7 @@ class CpqEngine {
                          DescendChoice choice,
                          std::vector<Candidate>* candidates);
 
-  /// Expansion step of the heap driver: generates the pair's candidates
+  /// Expansion step of kHeap: generates the pair's candidates
   /// into `scratch`, tightens T and pushes the survivors onto `heap`.
   void ExpandHeap(const NodeRef& ref_p, const NodeImage& node_p,
                   const NodeRef& ref_q, const NodeImage& node_q,
@@ -172,9 +165,9 @@ class CpqEngine {
   /// profile / trace; no-op (one compare) when neither wants it.
   void NoteBoundImprovement();
 
-  /// Run() epilogue shared with the resumable adapter: fills the quality
-  /// certificate from the latched stop cause / frontier state and records
-  /// the query-summary trace event.
+  /// The query's epilogue: fills the quality certificate from the latched
+  /// stop cause / frontier state and records the query-summary trace
+  /// event.
   void FinalizeQualityAndTrace();
 
   /// True when candidate generation sweeps child pairs. Only for the
@@ -240,7 +233,7 @@ class CpqEngine {
   /// False only for uncontrolled queries with no external context — the
   /// zero-overhead fast path (no polls, no page charging).
   bool accounting_;
-  /// Logical node reads so far (2 per ReadPair); the budgeted quantity.
+  /// Logical node reads so far (2 per node pair); the budgeted quantity.
   uint64_t node_accesses_ = 0;
   /// Live candidate-state bytes (recursion frames' candidate vectors; the
   /// kHeap pair heap is accounted separately via ShouldStop's extra).
@@ -267,6 +260,13 @@ uint64_t MinPointsOfNode(const NodeImage& node, uint64_t min_entries);
 
 /// Upper bound on points under a node that has been read (saturating).
 uint64_t MaxPointsOfNode(const NodeImage& node, uint64_t max_entries);
+
+/// Folds a finished query's stats into the process-wide metrics registry.
+/// `seconds < 0` means the caller skipped timing (metrics disabled).
+void FoldCpqMetrics(const CpqStats& s, double seconds, QueryFamily family);
+
+/// True when per-query timing should run: metrics compiled in and enabled.
+bool MetricsTimingOn();
 
 }  // namespace cpq_internal
 }  // namespace kcpq

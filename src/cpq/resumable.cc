@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "geometry/metrics.h"
@@ -41,7 +42,18 @@ ResumableCpqQuery::ResumableCpqQuery(const RStarTree& tree_p,
 
 ResumableCpqQuery::~ResumableCpqQuery() = default;
 
+double ResumableCpqQuery::Seconds() const {
+  if (!timed_) return -1.0;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start_)
+      .count();
+}
+
 ResumableTask::StepResult ResumableCpqQuery::Park(PageId page) {
+  if (!waker_) {
+    return Fail(Status::Internal("inline query parked on page " +
+                                 std::to_string(page)));
+  }
   ++engine_.stats_->io_parks;
   park_pending_ = true;
   park_page_ = page;
@@ -51,18 +63,33 @@ ResumableTask::StepResult ResumableCpqQuery::Park(PageId page) {
 }
 
 ResumableTask::StepResult ResumableCpqQuery::Fail(Status s) {
+  DrainIfInline();
   final_status_ = std::move(s);
   phase_ = Phase::kDone;
   return StepResult::kDone;
+}
+
+void ResumableCpqQuery::DrainIfInline() {
+  // Waits out in-flight speculative reads and discards staged-but-unclaimed
+  // pages as waste, so the accounting identity holds at query end; the
+  // staged entries name this query's context as their issuer, which must
+  // not outlive it. (Concurrent queries sharing a buffer may drain each
+  // other's staged pages: results are unaffected, the victims just fall
+  // back to synchronous reads.)
+  CpqEngine& e = engine_;
+  if (waker_ || !e.prefetch_.enabled()) return;
+  e.tree_p_.buffer()->DrainPrefetches();
+  if (e.tree_q_.buffer() != e.tree_p_.buffer()) {
+    e.tree_q_.buffer()->DrainPrefetches();
+  }
 }
 
 void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
                                   bool is_p) {
   if (outcome.hit) return;
   if (engine_.tree_p_.buffer() == engine_.tree_q_.buffer()) {
-    // One buffer serves both trees (self-join): the blocking path derives
-    // both per-tree counters from the same thread-local delta, so a miss
-    // lands in both.
+    // One buffer serves both trees (self-join): both per-tree counters
+    // describe that buffer, so a miss lands in both.
     ++misses_p_;
     ++misses_q_;
   } else if (is_p) {
@@ -77,6 +104,8 @@ void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
 bool ResumableCpqQuery::StartPhase() {
   CpqEngine& e = engine_;
   *e.stats_ = CpqStats{};
+  timed_ = cpq_internal::MetricsTimingOn();
+  if (timed_) start_ = std::chrono::steady_clock::now();
   if (options_.k == 0 || e.tree_p_.size() == 0 || e.tree_q_.size() == 0) {
     return false;
   }
@@ -135,16 +164,16 @@ void ResumableCpqQuery::SeedPhase() {
                        1, e.tree_p_.size()};
   const NodeRef root_q{e.tree_q_.root_page(), e.tree_q_.height() - 1, mbr_q_,
                        1, e.tree_q_.size()};
-  Candidate first;
-  first.p = root_p;
-  first.q = root_q;
-  first.key = e.objective_.NodeKey(root_p.mbr, root_q.mbr);
-  first.max_pairs = SaturatingMul(root_p.max_points, root_q.max_points);
+  popped_ = Candidate{};
+  popped_.p = root_p;
+  popped_.q = root_q;
+  popped_.key = e.objective_.NodeKey(root_p.mbr, root_q.mbr);
+  popped_.max_pairs = SaturatingMul(root_p.max_points, root_q.max_points);
   if (options_.algorithm == CpqAlgorithm::kHeap) {
-    heap_.push_back(first);
+    heap_.push_back(popped_);
     phase_ = Phase::kHeapLoop;
   } else {
-    pending_ = first;
+    pending_ = &popped_;
     phase_ = Phase::kExpandCheck;
   }
 }
@@ -191,26 +220,31 @@ ResumableCpqQuery::ReadPairOutcome ResumableCpqQuery::TryReadPair(
     CountRead(outcome, /*is_p=*/false);
     have_q_ = true;
   }
-  // Both nodes resident: the pair counts exactly once, no matter how many
-  // parks interleaved — the blocking ReadPair's own epilogue.
+  // Both nodes in hand: the pair counts exactly once, no matter how many
+  // parks interleaved.
   e.OnPairRead(&cur_p_, &cur_q_, *node_p_, *node_q_);
   return ReadPairOutcome::kOk;
 }
 
 void ResumableCpqQuery::AdvanceRecursive() {
   CpqEngine& e = engine_;
-  while (!rec_stack_.empty()) {
-    RecFrame& f = rec_stack_.back();
+  while (rec_depth_ > 0) {
+    RecFrame& f = rec_stack_[rec_depth_ - 1];
     if (f.next >= f.candidates.size()) {
       e.candidate_bytes_ -= f.frame_bytes;
-      rec_stack_.pop_back();
+      --rec_depth_;
       continue;
     }
     const Candidate& cand = f.candidates[f.next++];
+    // Re-test against T at descend time: T may have tightened while the
+    // earlier candidates of this very list were processed (the mechanism
+    // that makes the ascending-MINMINDIST order pay off).
     if (e.Prunes() && cand.key > e.bound_) {
       e.NotePruned(cand.p.level, cand.q.level, cand.key, 1);
       continue;
     }
+    // Once stopped (possibly deeper down), drain: the remaining un-pruned
+    // candidates become frontier, not work.
     if (e.stop_ != StopCause::kNone) {
       e.FoldFrontier(cand.key, cand.max_pairs);
       if (e.profile_ != nullptr) {
@@ -218,7 +252,7 @@ void ResumableCpqQuery::AdvanceRecursive() {
       }
       continue;
     }
-    pending_ = cand;
+    pending_ = &cand;
     phase_ = Phase::kExpandCheck;
     return;
   }
@@ -249,8 +283,17 @@ void ResumableCpqQuery::HeapLoopPhase() {
   e.stats_->max_heap_size =
       std::max<uint64_t>(e.stats_->max_heap_size, heap_.size());
   if (e.prefetch_.enabled()) {
-    // Identical speculation block to RunHeap: exact top-W of the frontier
-    // in pop order, keyed by rank.
+    // Speculate on the frontier's best W pairs — including heap[0], the
+    // pair read next, so even a child pushed by the previous expansion
+    // (the best-first descent chain, where the next pop is brand new) has
+    // its reads in flight before they are demanded. The W smallest entries
+    // of a binary heap all live in the first 2^W - 1 array slots, so a
+    // bounded prefix scan finds the exact top-W for W <= 9 and a close
+    // approximation above (the claim path does not care which pages
+    // arrive). Selection uses the pop order itself (CandidateLess: with
+    // overlapping data most frontier keys tie at 0, and any other
+    // tie-break speculates on pairs the heap will not pop next); the rank
+    // is the scheduler key, so the nearest pops' pages complete first.
     e.prefetch_.Clear();
     const size_t scan = std::min<size_t>(heap_.size(), 512);
     spec_order_.clear();
@@ -270,9 +313,13 @@ void ResumableCpqQuery::HeapLoopPhase() {
     }
     prefetch_issued_ += e.prefetch_.Issue();
   }
-  const Candidate top = heap_.front();
+  // Min-heap of node pairs by (key, tie chain): CP1-CP5 of Section 3.5,
+  // open-coded over a vector with std::push_heap / pop_heap so the
+  // speculation above can peek at the frontier without disturbing it.
+  popped_ = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), CandidateGreater{});
   heap_.pop_back();
+  const Candidate& top = popped_;
   if (e.trace_ != nullptr) {
     obs::TraceEvent ev;
     ev.kind = obs::TraceEventKind::kHeapPop;
@@ -294,13 +341,13 @@ void ResumableCpqQuery::HeapLoopPhase() {
     return;
   }
   if (e.ShouldStop(heap_.size() * sizeof(Candidate))) {
+    // The popped pair plus everything still queued is the frontier.
     DrainHeapIntoCertificate(top);
     phase_ = Phase::kFinish;
     return;
   }
   // The pop committed before any read: a park during the reads resumes at
   // kHeapRead and can never re-pop (or re-poll) this pair.
-  pending_ = top;
   cur_p_ = top.p;
   cur_q_ = top.q;
   have_p_ = have_q_ = false;
@@ -327,6 +374,8 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
     switch (phase_) {
       case Phase::kStart: {
         if (!StartPhase()) {
+          cpq_internal::FoldCpqMetrics(*engine_.stats_, Seconds(),
+                                       options_.family);
           final_status_ = Status::OK();
           phase_ = Phase::kDone;
           return StepResult::kDone;
@@ -349,8 +398,10 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
       }
       case Phase::kExpandCheck: {
         CpqEngine& e = engine_;
-        const NodeRef& rp = pending_.p;
-        const NodeRef& rq = pending_.q;
+        const NodeRef& rp = pending_->p;
+        const NodeRef& rq = pending_->q;
+        // Stop check at node-pair granularity, *before* the reads: a
+        // stopped query folds this unexpanded pair into the frontier.
         if (e.ShouldStop(0)) {
           e.FoldFrontier(e.objective_.NodeKey(rp.mbr, rq.mbr),
                          SaturatingMul(rp.max_points, rq.max_points));
@@ -373,11 +424,12 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         if (r == ReadPairOutcome::kParked) return Park(park_page_);
         if (r == ReadPairOutcome::kError) return Fail(err);
         if (r == ReadPairOutcome::kDeadline) {
-          // The pair stays unexpanded; fold the *original* refs (pending_),
-          // not the partially refreshed cur_* — same as blocking.
+          // The storage stack abandoned a retry the deadline could not
+          // cover. The pair stays unexpanded: latch the deadline stop and
+          // fold the pair's *original* refs, not the refreshed cur_*.
           e.stop_ = StopCause::kDeadline;
-          const NodeRef& rp = pending_.p;
-          const NodeRef& rq = pending_.q;
+          const NodeRef& rp = pending_->p;
+          const NodeRef& rq = pending_->q;
           e.FoldFrontier(e.objective_.NodeKey(rp.mbr, rq.mbr),
                          SaturatingMul(rp.max_points, rq.max_points));
           if (e.profile_ != nullptr) {
@@ -393,8 +445,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
           AdvanceRecursive();
           continue;
         }
-        rec_stack_.emplace_back();
-        RecFrame& f = rec_stack_.back();
+        if (rec_depth_ == rec_stack_.size()) rec_stack_.emplace_back();
+        RecFrame& f = rec_stack_[rec_depth_++];
+        f.next = 0;
         prefetch_issued_ += e.ExpandRecursive(cur_p_, *node_p_, cur_q_,
                                               *node_q_, choice, &f.candidates);
         f.frame_bytes = f.candidates.size() * sizeof(Candidate);
@@ -414,7 +467,7 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         if (r == ReadPairOutcome::kError) return Fail(err);
         if (r == ReadPairOutcome::kDeadline) {
           e.stop_ = StopCause::kDeadline;
-          DrainHeapIntoCertificate(pending_);
+          DrainHeapIntoCertificate(popped_);
           phase_ = Phase::kFinish;
           continue;
         }
@@ -432,16 +485,14 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
       }
       case Phase::kFinish: {
         CpqEngine& e = engine_;
-        // No DrainPrefetches here: under the scheduler many queries share
-        // the buffers and a per-query drain would discard the siblings'
-        // staged pages. The batch executor settles speculation once after
-        // the whole run (and sole-query callers drain explicitly).
+        DrainIfInline();
         e.stats_->disk_accesses_p = misses_p_;
         e.stats_->disk_accesses_q = misses_q_;
         e.stats_->node_accesses = e.node_accesses_;
         e.stats_->prefetch_issued = prefetch_issued_;
         e.stats_->prefetch_hits = prefetch_hits_;
         e.FinalizeQualityAndTrace();
+        cpq_internal::FoldCpqMetrics(*e.stats_, Seconds(), options_.family);
         results_out_ = std::move(e.results_).Extract();
         final_status_ = Status::OK();
         phase_ = Phase::kDone;

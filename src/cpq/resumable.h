@@ -1,41 +1,35 @@
-// Resumable K-CPQ execution: the blocking engine's traversal re-driven as
-// an explicit state machine that *yields* on a buffer miss instead of
-// blocking the thread.
+// The K-CPQ traversal: all five algorithms, plus self, farthest and
+// rect-restricted queries, as one explicit state machine over the
+// engine's kernels (cpq/engine.h).
 //
-// The blocking CpqEngine (cpq/engine.h) spends nearly all of its wall time
-// inside ReadNode waiting for storage; one OS thread therefore advances one
-// query. ResumableCpqQuery replaces every blocking read with
-// BufferManager::TryRead: on a non-resident page it registers the
-// scheduler-provided waker with the buffer's in-flight fetch and returns
-// StepResult::kParked from Step(). The completion-driven scheduler
-// (exec/scheduler.h) re-runs the task when the page lands, so a small
-// worker pool multiplexes hundreds of in-flight queries — each paying full
-// I/O latency, none paying it on a thread.
+// Every node read goes through BufferManager::TryRead, and the waker the
+// task was built with decides how the machine is driven:
 //
-// Equivalence contract (enforced by tests/resumable_test.cc): for any
-// query, the resumable execution produces bit-identical results, an
-// identical quality certificate, and identical per-query disk-access
-// counts to the blocking path. This falls out of three properties:
+//   * Inline (empty waker): TryRead is the synchronous read, so Step()
+//     runs the whole query on the calling thread and returns kDone.
+//     KClosestPairs / SelfKClosestPairs and the batch executor's
+//     thread-pool mode drive it this way.
+//   * Scheduled (a scheduler's waker): a miss registers the waker with
+//     the buffer's in-flight fetch and Step() returns kParked; the
+//     completion-driven scheduler (exec/scheduler.h) re-runs the task
+//     when the page lands, so a few workers multiplex hundreds of
+//     in-flight queries.
 //
-//   1. Same kernels. The machine is a friend of CpqEngine and calls the
-//      exact OnPairRead / ProcessLeaves / ExpandRecursive / ExpandHeap /
-//      ShouldStop / FoldFrontier the blocking drivers call, against the
-//      same engine state (bound_, results_, certificate_, ...).
-//   2. Same traversal order. The recursion is an explicit frame stack and
-//      the heap loop pops before yielding, so interleaving with other
-//      queries cannot reorder *this* query's work. A park resumes at the
-//      read, never before a stop poll (a parked query must not observe a
-//      deadline the blocking run would not have polled there).
-//   3. Same counting. TryRead counts a miss when the page is claimed, not
-//      when the fetch is issued, and per-query misses are tallied from the
-//      returned TryReadOutcome (thread-local buffer deltas are meaningless
-//      when many queries share a worker thread).
+// Both modes run the same code, so results, quality certificates and
+// per-query disk accesses are the same by construction; the drive mode
+// only decides whether a miss waits on the thread or off it. Two rules
+// keep a park invisible to the query: the recursion is an explicit frame
+// stack and the heap loop pops before it reads, so a park resumes at the
+// read, never before a stop poll; and per-query misses are tallied from
+// each read's TryReadOutcome (miss at claim), never from thread-local
+// buffer deltas, which mean nothing when many queries share a worker.
 //
 // Lifetime: the engine registers wakers and an issuer (QueryContext)
 // pointer with the BufferManager. Both may outlive a finished query
-// inside staged prefetch entries, so callers must drain the buffers
-// (DrainPrefetches) before destroying the task or its QueryContext — the
-// batch executor drains once after the whole scheduler run.
+// inside staged prefetch entries. An inline query drains the buffers
+// itself before it finishes; a scheduled one leaves that to its caller,
+// since a per-query drain would discard the sibling queries' staged
+// pages — the batch executor drains once after the whole scheduler run.
 
 #ifndef KCPQ_CPQ_RESUMABLE_H_
 #define KCPQ_CPQ_RESUMABLE_H_
@@ -49,15 +43,16 @@
 
 namespace kcpq {
 
-/// One resumable K-CPQ execution. Construct, Step until kDone (re-Stepping
-/// only after the waker fires when parked), read status()/TakeResults(),
+/// One K-CPQ execution. Construct, Step until kDone (re-Stepping only
+/// after the waker fires when parked), read status()/TakeResults(),
 /// discard. Self-joins pass the same tree twice with options.self_join.
 class ResumableCpqQuery final : public ResumableTask {
  public:
   /// `stats` may be null. `options` is copied; `options.context` (if set)
   /// and the trees must outlive the task *and* any buffer drain that
-  /// settles its speculation. The waker must be callable from I/O
-  /// completion threads until Step() has returned kDone.
+  /// settles its speculation. A non-empty waker must be callable from I/O
+  /// completion threads until Step() has returned kDone; an empty one
+  /// drives the query inline (see the file comment).
   ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                     CpqOptions options, CpqStats* stats, Waker waker);
   ~ResumableCpqQuery() override;
@@ -74,17 +69,19 @@ class ResumableCpqQuery final : public ResumableTask {
     kStart,       // stats reset, trivial-query checks, prefetch config
     kReadRootP,   // root MBR of P (parks like any read)
     kReadRootQ,   // root MBR of Q
-    kSeed,        // tie context + root refs; dispatch to a driver
-    kExpandCheck, // recursive driver: stop poll before the pair's reads
-    kExpandRead,  // recursive driver: read pair, expand, descend
-    kHeapLoop,    // heap driver: prefetch, pop, CP5 / stop checks
-    kHeapRead,    // heap driver: read the popped pair, expand, push
+    kSeed,        // tie context + root pair; dispatch by algorithm
+    kExpandCheck, // recursive algorithms: stop poll before the pair's reads
+    kExpandRead,  // recursive algorithms: read pair, expand, descend
+    kHeapLoop,    // kHeap: prefetch, pop, CP5 / stop checks
+    kHeapRead,    // kHeap: read the popped pair, expand, push
     kFinish,      // epilogue: per-query stats + quality certificate
     kDone,
   };
 
-  /// One suspended ProcessPairRecursive activation: the candidate list of
-  /// an expanded pair and the index of the next candidate to visit.
+  /// One suspended activation of the recursive algorithms: the candidate
+  /// list of an expanded pair and the index of the next one to visit.
+  /// Frames below `rec_depth_` are live; the ones above keep their
+  /// vectors' capacity for the next expansion at that depth.
   struct RecFrame {
     std::vector<cpq_internal::Candidate> candidates;
     size_t next = 0;
@@ -93,29 +90,32 @@ class ResumableCpqQuery final : public ResumableTask {
 
   enum class ReadPairOutcome { kOk, kParked, kDeadline, kError };
 
-  /// Non-blocking ReadPair: reads whichever side of (cur_p_, cur_q_) is
-  /// not cached yet, parking on a miss-in-flight. Only after BOTH nodes
-  /// are resident does it count the pair (node_pairs_processed,
-  /// node_accesses += 2) and refresh the refs — identical bookkeeping to
-  /// the blocking ReadPair, no matter how many parks interleaved.
+  /// Reads whichever side of (cur_p_, cur_q_) is not in hand yet,
+  /// parking on a miss-in-flight. Only after BOTH nodes are in hand does
+  /// it count the pair (node_pairs_processed, node_accesses += 2) and
+  /// refresh the refs, no matter how many parks interleaved.
   ReadPairOutcome TryReadPair(Status* error);
 
   /// Records a park on `page` and returns kParked. The matching resume
   /// bookkeeping (parked-time accounting, io_park trace span) runs at the
-  /// top of the next Step().
+  /// top of the next Step(). Without a waker nothing could resume the
+  /// task, so the park becomes an Internal error instead (unreachable:
+  /// TryRead without a waker never parks).
   StepResult Park(PageId page);
   StepResult Fail(Status s);
+  /// An inline query settles its own speculation before it finishes.
+  void DrainIfInline();
 
   /// Tallies one served read into the per-query miss / prefetch-hit
-  /// counters. A self-join's shared buffer counts each miss on both sides,
-  /// matching the blocking path's thread-local delta arithmetic.
+  /// counters. A self-join's shared buffer counts each miss on both sides
+  /// (disk_accesses_p and _q both describe that one buffer).
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
 
   /// Walks the frame stack to the next candidate to expand (applying the
-  /// blocking candidate loop's prune / drain rules), setting pending_ and
-  /// phase kExpandCheck; kFinish when the stack empties.
+  /// prune / drain rules), setting pending_ and phase kExpandCheck;
+  /// kFinish when the stack empties.
   void AdvanceRecursive();
-  /// RunHeap's stop-drain: folds the popped pair plus the whole remaining
+  /// The heap's stop-drain: folds the popped pair plus the whole remaining
   /// heap into the certificate.
   void DrainHeapIntoCertificate(const cpq_internal::Candidate& popped);
 
@@ -131,17 +131,28 @@ class ResumableCpqQuery final : public ResumableTask {
   Status final_status_;
   std::vector<PairResult> results_out_;
 
-  // Traversal state that blocking execution keeps on the call stack.
+  // Traversal state.
   int root_level_ = 0;
   Rect mbr_p_, mbr_q_;
-  cpq_internal::Candidate pending_;  // pair chosen for expansion, pre-read
+  /// The pair chosen for expansion, before its reads: the root pair or
+  /// the heap's pop (both in popped_), or a candidate of the top frame.
+  const cpq_internal::Candidate* pending_ = nullptr;
+  cpq_internal::Candidate popped_;
   cpq_internal::NodeRef cur_p_, cur_q_;  // refs refreshed by TryReadPair
   NodeImagePtr node_p_, node_q_;
   bool have_p_ = false, have_q_ = false;
   std::vector<RecFrame> rec_stack_;
+  size_t rec_depth_ = 0;
   std::vector<cpq_internal::Candidate> heap_;
   std::vector<cpq_internal::Candidate> candidates_scratch_;
   std::vector<uint32_t> spec_order_;
+
+  /// Seconds since the first Step, or -1 when metrics timing is off.
+  double Seconds() const;
+
+  // Metrics timing (cpq_query_seconds), from the first Step.
+  bool timed_ = false;
+  std::chrono::steady_clock::time_point start_;
 
   // Per-query I/O accounting from TryReadOutcome (see header comment).
   uint64_t misses_p_ = 0;

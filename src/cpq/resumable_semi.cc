@@ -3,34 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
+#include "cpq/engine.h"
 #include "geometry/metrics.h"
-#include "obs/kcpq_metrics.h"
 
 namespace kcpq {
 
 namespace {
-
-// Mirrors cpq.cc's file-local FoldCpqMetrics with seconds < 0 (the
-// blocking SemiClosestPairs folds exactly this set; duplication beats
-// widening cpq.cc's internal surface). Batch latency is folded by the
-// executor, so no per-family seconds here — same as the blocking semi.
-void FoldSemiMetrics(const CpqStats& s) {
-#if KCPQ_METRICS
-  if (!obs::Enabled()) return;
-  const obs::KcpqMetrics& m = obs::KcpqMetrics::Get();
-  m.cpq_queries_total->Increment();
-  m.cpq_node_pairs_total->Add(s.node_pairs_processed);
-  m.cpq_candidates_generated_total->Add(s.candidate_pairs_generated);
-  m.cpq_candidates_pruned_total->Add(s.candidate_pairs_pruned);
-  m.cpq_distance_computations_total->Add(s.point_distance_computations);
-  m.cpq_leaf_pairs_skipped_total->Add(s.leaf_pairs_skipped);
-  m.cpq_query_node_accesses->Observe(static_cast<double>(s.node_accesses));
-#else
-  (void)s;
-#endif
-}
 
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
                    std::chrono::steady_clock::time_point to) {
@@ -57,10 +38,13 @@ ResumableSemiQuery::ResumableSemiQuery(const RStarTree& tree_p,
 ResumableSemiQuery::~ResumableSemiQuery() = default;
 
 ResumableTask::StepResult ResumableSemiQuery::Park(PageId page) {
+  if (!waker_) {
+    return Fail(Status::Internal("inline query parked on page " +
+                                 std::to_string(page)));
+  }
   ++stats_->io_parks;
   park_pending_ = true;
   park_start_ = std::chrono::steady_clock::now();
-  (void)page;
   return StepResult::kParked;
 }
 
@@ -87,8 +71,8 @@ void ResumableSemiQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
 
 bool ResumableSemiQuery::StartPhase() {
   *stats_ = CpqStats{};
-  // Trivial queries return the blocking path's untouched default stats —
-  // no epilogue, no metric fold.
+  // Trivial queries return untouched default stats: no epilogue, no
+  // metric fold.
   if (tree_p_.size() == 0 || tree_q_.size() == 0) return false;
   out_.reserve(tree_p_.size());
   // Pre-trip check: a pre-cancelled or pre-expired query touches no pages.
@@ -115,13 +99,14 @@ void ResumableSemiQuery::FinishPhase() {
   stats_->quality.stop_cause = stop_;
   stats_->quality.pairs_found = out_.size();
   if (stop_ != StopCause::kNone) {
-    // Same certificate rule as the blocking path: a per-point NN result
-    // says nothing about the unvisited P points, so the only honest
-    // global lower bound is zero.
+    // A per-point NN result says nothing about the unvisited P points, so
+    // the only honest global lower bound is zero; the partial result is
+    // still complete and exact for every P point it covers.
     stats_->quality.guaranteed_lower_bound = 0.0;
     stats_->quality.is_exact = false;
   }
-  FoldSemiMetrics(*stats_);
+  // Batch latency is folded by the executor: no per-query seconds here.
+  cpq_internal::FoldCpqMetrics(*stats_, -1.0, QueryFamily::kClosest);
 }
 
 ResumableTask::StepResult ResumableSemiQuery::Step() {
@@ -142,8 +127,8 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         continue;
       }
       case Phase::kScanRead: {
-        // ScanLeaves' explicit LIFO stack. The page stays on the stack
-        // until its read lands, so a park simply re-reads it.
+        // The page stays on the stack until its read lands, so a park
+        // simply re-reads it.
         if (stack_.empty()) {
           phase_ = Phase::kFinish;
           continue;
@@ -163,8 +148,7 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
         CountRead(outcome, /*is_p=*/true);
         stack_.pop_back();
         if (!node_p_->IsLeaf()) {
-          // Internal P nodes are read but not charged to node_accesses,
-          // exactly like the blocking ScanLeaves traversal.
+          // Internal P nodes are read but not charged to node_accesses.
           for (const Entry& e : node_p_->entries()) {
             stack_.emplace_back(e.id, level - 1);
           }
@@ -193,9 +177,8 @@ ResumableTask::StepResult ResumableSemiQuery::Step() {
           continue;
         }
         if (accounting_) {
-          // Stop poll BEFORE the read; a park resumes at the read and
-          // never re-polls (the blocking loop checks exactly once per
-          // popped node).
+          // Stop poll BEFORE the read, exactly once per popped node; a
+          // park resumes at the read and never re-polls.
           stop_ = ctx_->Check(node_accesses_, out_.size() * sizeof(PairResult));
           if (stop_ != StopCause::kNone) {
             phase_ = Phase::kFinish;

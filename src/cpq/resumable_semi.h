@@ -1,25 +1,15 @@
-// Resumable Semi-CPQ: the per-leaf group nearest-neighbor scan of
-// cpq.cc's SemiClosestPairs re-driven as an explicit state machine that
-// yields on a buffer miss (closing the PR-6 "semi runs as a blocking
-// step" gap — the batch executor now multiplexes semi-joins on the
-// completion-driven scheduler like every other kind).
+// Semi-CPQ (all nearest neighbors): a scan of P's leaves, each served by
+// one best-first group nearest-neighbor descent of Q, as one explicit state
+// machine. It is the only Semi-CPQ traversal: SemiClosestPairs drives it
+// inline with an empty waker (every read blocks, one Step finishes), and
+// the batch executor drives it either inline or on the completion-driven
+// scheduler, where a miss parks the task (see cpq/resumable.h for the two
+// drive modes and the lifetime rules, which are the same here).
 //
-// Equivalence contract (tests/resumable_test.cc rides the semi query in
-// the 50-seed blocking-vs-resumable differential): bit-identical results,
-// identical quality certificate, identical per-query disk accesses. The
-// same three properties as ResumableCpqQuery (cpq/resumable.h) deliver
-// it:
-//
-//   1. Same kernels — the traversal replicates ScanLeaves' explicit LIFO
-//      stack and GroupNearestForLeaf's best-first Q descent statement for
-//      statement, including the worst-bound break / re-test rules.
-//   2. Same order — a park resumes AT the read, never before a stop
-//      poll, so interleaving cannot add or drop deadline observations.
-//   3. Same counting — per-query misses are tallied from TryReadOutcome
-//      (miss at claim), which equals the blocking path's thread-local
-//      buffer-delta arithmetic; node_accesses counts P leaves and popped
-//      Q nodes exactly as the blocking code does (internal P nodes are
-//      read but not counted, matching ScanLeaves).
+// A park resumes AT the read, never before a stop poll, so interleaving
+// cannot add or drop deadline observations; per-query misses are tallied
+// from each read's TryReadOutcome. node_accesses counts P leaves and
+// popped Q nodes; internal P nodes are read but not counted.
 
 #ifndef KCPQ_CPQ_RESUMABLE_SEMI_H_
 #define KCPQ_CPQ_RESUMABLE_SEMI_H_
@@ -38,15 +28,15 @@
 
 namespace kcpq {
 
-/// One resumable semi-join (all-nearest-neighbor) execution. Construct,
-/// Step until kDone (re-Stepping only after the waker fires when parked),
-/// read status()/TakeResults(), discard. Same lifetime rules as
+/// One semi-join (all-nearest-neighbor) execution. Construct, Step until
+/// kDone (re-Stepping only after the waker fires when parked), read
+/// status()/TakeResults(), discard. Same lifetime rules as
 /// ResumableCpqQuery: trees, context, and waker must outlive the task and
 /// any buffer drain that settles staged pages.
 class ResumableSemiQuery final : public ResumableTask {
  public:
-  /// Mirrors SemiClosestPairs: `stats` may be null; an external `context`
-  /// supersedes `control`.
+  /// `stats` may be null; an external `context` supersedes `control`. An
+  /// empty `waker` drives the query inline.
   ResumableSemiQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                      CpqStats* stats, const QueryControl& control,
                      QueryContext* context, Waker waker);
@@ -77,11 +67,12 @@ class ResumableSemiQuery final : public ResumableTask {
     bool operator>(const QueueItem& other) const { return key > other.key; }
   };
 
+  /// Same park rule as ResumableCpqQuery::Park: without a waker a park is
+  /// an Internal error.
   StepResult Park(PageId page);
   StepResult Fail(Status s);
   /// Same shared-buffer rule as ResumableCpqQuery::CountRead: one buffer
-  /// serving both trees counts each miss on both sides, matching the
-  /// blocking path's thread-local delta arithmetic.
+  /// serving both trees counts each miss on both sides.
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
 
   bool StartPhase();  // returns false when the query is trivially done
@@ -100,7 +91,7 @@ class ResumableSemiQuery final : public ResumableTask {
   Status final_status_;
   std::vector<PairResult> out_;
 
-  // P traversal state (ScanLeaves' call-stack made explicit). The page
+  // P traversal state: an explicit LIFO stack of pages to read. The page
   // being read stays on the stack until the read lands, so a park simply
   // re-reads it. Each page goes with the level its read expects.
   std::vector<std::pair<PageId, int>> stack_;

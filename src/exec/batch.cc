@@ -136,7 +136,7 @@ void MapHsStats(const HsStats& hs, CpqStats* out) {
 }
 
 /// The HsOptions a kHsClosestPairs batch query maps to (k_bound is set by
-/// HsKClosestPairs / the ResumableHsQuery constructor from options.k).
+/// the ResumableHsQuery constructor from options.k).
 HsOptions HsOptionsFrom(const CpqOptions& cpq, const QueryControl& merged,
                         QueryContext* ctx, size_t batch_prefetch_window) {
   HsOptions hs;
@@ -168,66 +168,6 @@ QueryOutcome OutcomeOf(const BatchQueryResult& result) {
   }
   if (result.stats.quality.is_partial()) return QueryOutcome::kPartial;
   return QueryOutcome::kOk;
-}
-
-void RunOne(const RStarTree& tree_p, const RStarTree& tree_q,
-            const BatchQuery& query, const BatchOptions& batch_options,
-            const CancellationToken& batch_token,
-            obs::QueryObservation* live, BatchQueryResult* result) {
-  // Effective control: the query's own limits tightened by the batch-wide
-  // ones, plus the batch cancellation token (fail-fast and external batch
-  // cancels both flow through it).
-  QueryControl batch_control = batch_options.control;
-  batch_control.cancel =
-      CancellationToken::Combine(batch_control.cancel, batch_token);
-  const QueryControl merged =
-      QueryControl::Merged(query.options.control, batch_control);
-
-  // One context per query, owned here for the query's lifetime: its
-  // ResourceAccountant unifies the engine's candidate/heap bytes with the
-  // buffer pages read on this query's behalf.
-  QueryContext ctx(merged);
-  ctx.set_observation(live);
-
-  Result<std::vector<PairResult>> r = [&] {
-    switch (query.kind) {
-      case BatchQueryKind::kClosestPairs:
-      case BatchQueryKind::kSelfClosestPairs: {
-        CpqOptions options = query.options;
-        options.control = merged;
-        options.context = &ctx;
-        if (options.prefetch_window == 0) {
-          options.prefetch_window = batch_options.prefetch_window;
-        }
-        return query.kind == BatchQueryKind::kClosestPairs
-                   ? KClosestPairs(tree_p, tree_q, options, &result->stats)
-                   : SelfKClosestPairs(tree_p, options, &result->stats);
-      }
-      case BatchQueryKind::kSemiClosestPairs:
-        return SemiClosestPairs(tree_p, tree_q, &result->stats, merged,
-                                &ctx);
-      case BatchQueryKind::kHsClosestPairs: {
-        HsStats hs_stats;
-        HsOptions hs = HsOptionsFrom(query.options, merged, &ctx,
-                                     batch_options.prefetch_window);
-        auto r = HsKClosestPairs(tree_p, tree_q, query.options.k,
-                                 std::move(hs), &hs_stats);
-        MapHsStats(hs_stats, &result->stats);
-        return r;
-      }
-    }
-    return Result<std::vector<PairResult>>(
-        Status::InvalidArgument("unknown batch query kind"));
-  }();
-  result->peak_memory_bytes = ctx.accountant().peak_total_bytes();
-  CopyReplication(ctx, result);
-  if (r.ok()) {
-    result->pairs = std::move(r).value();
-    result->status = Status::OK();
-  } else {
-    result->status = r.status();
-  }
-  result->outcome = OutcomeOf(*result);
 }
 
 /// Per-query batch metrics: outcome counters plus latency / peak-memory
@@ -280,21 +220,26 @@ bool MetricsTimingOn() {
 #endif
 }
 
-/// The completion-driven executor: every query is a ResumableTask and
-/// `options.threads` workers multiplex up to `options.max_inflight` of
-/// them, parking on buffer misses (see exec/scheduler.h and docs/io.md).
-/// Fills `results` in place; per-query results, certificates, and
-/// disk-access counts are identical to the blocking path.
-void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
-                       const std::vector<BatchQuery>& queries,
-                       const BatchOptions& options,
-                       AdmissionController* admission,
-                       CancellationSource* batch_source,
-                       const CancellationToken& batch_token,
-                       std::vector<BatchQueryResult>* results) {
-  // Per-query state that must outlive the scheduler run: contexts are
-  // registered as issuers of staged prefetch entries, so they may only be
-  // destroyed after the post-run buffer drains below.
+/// Runs the batch. Every query is a ResumableTask built by one factory and
+/// harvested by one done callback; the scheduler mode only decides how the
+/// tasks are driven. kResumable multiplexes up to `options.max_inflight`
+/// of them over `options.threads` workers, parking on buffer misses (see
+/// exec/scheduler.h and docs/io.md). kBlocking builds each task without a
+/// waker, so one Step runs it to completion on a pool thread (or inline on
+/// the caller when threads == 1). Fills `results` in place; per-query
+/// results, certificates, and disk-access counts are the same either way.
+void RunBatch(const RStarTree& tree_p, const RStarTree& tree_q,
+              const std::vector<BatchQuery>& queries,
+              const BatchOptions& options, AdmissionController* admission,
+              CancellationSource* batch_source,
+              const CancellationToken& batch_token,
+              std::vector<BatchQueryResult>* results) {
+  const SchedulerMode mode = options.scheduler;
+  const char* const mode_name =
+      mode == SchedulerMode::kResumable ? "resumable" : "blocking";
+  // Per-query state that must outlive the task: under the scheduler,
+  // contexts are registered as issuers of staged prefetch entries, so they
+  // may only be destroyed after the post-run buffer drains below.
   struct Slot {
     std::unique_ptr<QueryContext> ctx;
     HsStats hs_stats;  // kHsClosestPairs only; mapped into CpqStats on done
@@ -310,34 +255,40 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
     if (admission != nullptr) {
       result.admission = admission->Admit(queries[i]);
       if (!result.admission.admitted) {
+        // Shed before any I/O: no task, no page read, no node access.
         result.status = Status::ResourceExhausted(result.admission.reason);
         result.outcome = QueryOutcome::kRejected;
-        FoldBatchQueryMetrics(result, -1.0, SchedulerMode::kResumable);
-        RetireQuery(options, queries[i], result, "resumable", -1.0, nullptr);
+        FoldBatchQueryMetrics(result, -1.0, mode);
+        RetireQuery(options, queries[i], result, mode_name, -1.0, nullptr);
         return nullptr;
       }
     }
     Slot& slot = slots[i];
-    slot.timed = MetricsTimingOn();
-    if (slot.timed) slot.start = std::chrono::steady_clock::now();
     if (options.query_registry != nullptr) {
       slot.live = options.query_registry->Register(
           BatchQueryKindName(queries[i].kind),
-          QueryFamilyName(queries[i].options.family), "resumable",
+          QueryFamilyName(queries[i].options.family), mode_name,
           queries[i].options.k);
     }
+    slot.timed = MetricsTimingOn();
+    if (slot.timed) slot.start = std::chrono::steady_clock::now();
 
+    // Effective control: the query's own limits tightened by the
+    // batch-wide ones, plus the batch cancellation token (fail-fast and
+    // external batch cancels both flow through it).
     QueryControl batch_control = options.control;
     batch_control.cancel =
         CancellationToken::Combine(batch_control.cancel, batch_token);
     const QueryControl merged =
         QueryControl::Merged(queries[i].options.control, batch_control);
+    // One context per query: its ResourceAccountant unifies the engine's
+    // candidate/heap bytes with the buffer pages read on its behalf.
+    slot.ctx = std::make_unique<QueryContext>(merged);
+    slot.ctx->set_observation(slot.live.get());
 
     switch (queries[i].kind) {
       case BatchQueryKind::kClosestPairs:
       case BatchQueryKind::kSelfClosestPairs: {
-        slot.ctx = std::make_unique<QueryContext>(merged);
-        slot.ctx->set_observation(slot.live.get());
         CpqOptions o = queries[i].options;
         o.control = merged;
         o.context = slot.ctx.get();
@@ -351,22 +302,17 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
             std::move(waker));
       }
       case BatchQueryKind::kHsClosestPairs: {
-        slot.ctx = std::make_unique<QueryContext>(merged);
-        slot.ctx->set_observation(slot.live.get());
         HsOptions hs = HsOptionsFrom(queries[i].options, merged,
                                      slot.ctx.get(), options.prefetch_window);
         return std::make_unique<ResumableHsQuery>(
             tree_p, tree_q, queries[i].options.k, std::move(hs),
             &slot.hs_stats, std::move(waker));
       }
-      case BatchQueryKind::kSemiClosestPairs: {
-        slot.ctx = std::make_unique<QueryContext>(merged);
-        slot.ctx->set_observation(slot.live.get());
+      case BatchQueryKind::kSemiClosestPairs:
         return std::make_unique<ResumableSemiQuery>(tree_p, tree_q,
                                                     &result.stats, merged,
                                                     slot.ctx.get(),
                                                     std::move(waker));
-      }
     }
     return nullptr;
   };
@@ -396,9 +342,8 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
         break;
       }
     }
-    result.peak_memory_bytes =
-        slot.ctx != nullptr ? slot.ctx->accountant().peak_total_bytes() : 0;
-    if (slot.ctx != nullptr) CopyReplication(*slot.ctx, &result);
+    result.peak_memory_bytes = slot.ctx->accountant().peak_total_bytes();
+    CopyReplication(*slot.ctx, &result);
     result.outcome = OutcomeOf(result);
     double seconds = -1.0;
     if (slot.timed) {
@@ -407,19 +352,13 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
                     .count();
     }
     result.seconds = seconds;
-    FoldBatchQueryMetrics(result, seconds, SchedulerMode::kResumable);
-    if ((queries[i].kind == BatchQueryKind::kClosestPairs ||
-         queries[i].kind == BatchQueryKind::kSelfClosestPairs) &&
-        seconds >= 0.0) {
-      // The resumable CPQ engine never reaches FoldCpqMetrics (the
-      // blocking entry point), so the per-family latency fold happens
-      // here; HS folds its own in ResumableHsQuery::Step.
-      KCPQ_METRIC_OBSERVE(FamilyQuerySeconds(queries[i].options.family),
-                          seconds);
-    }
-    RetireQuery(options, queries[i], result, "resumable", seconds, slot.live);
+    FoldBatchQueryMetrics(result, seconds, mode);
+    RetireQuery(options, queries[i], result, mode_name, seconds, slot.live);
     if (admission != nullptr) {
       admission->Release(result.admission);
+      // Close the loop: the measured peak and buffer behaviour of every
+      // query that ran refine later estimates (no-op unless
+      // feedback_alpha > 0).
       admission->RecordOutcome(result.admission, result.peak_memory_bytes,
                                result.stats.node_accesses,
                                result.stats.disk_accesses());
@@ -428,6 +367,30 @@ void RunResumableBatch(const RStarTree& tree_p, const RStarTree& tree_q,
       batch_source->Cancel();
     }
   };
+
+  if (mode == SchedulerMode::kBlocking) {
+    const auto run_inline = [&](size_t i) {
+      std::unique_ptr<ResumableTask> task = factory(i, Waker());
+      if (task == nullptr) return;
+      task->Step();  // no waker: one Step runs the task to completion
+      on_done(i, task.get());
+      // The task settled its own speculation, so its context can go now.
+      task.reset();
+      slots[i] = Slot{};
+    };
+    const size_t threads =
+        options.threads == 0 ? ThreadPool::DefaultThreads() : options.threads;
+    if (threads == 1) {
+      for (size_t i = 0; i < queries.size(); ++i) run_inline(i);
+    } else {
+      ThreadPool pool(threads);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        pool.Submit([&run_inline, i] { run_inline(i); });
+      }
+      pool.Wait();
+    }
+    return;
+  }
 
   ResumableScheduler::Options sched;
   sched.workers = options.threads;        // 0 -> DefaultThreads
@@ -469,72 +432,8 @@ std::vector<BatchQueryResult> BatchKClosestPairs(
   // from whichever worker fails first.
   CancellationSource batch_source;
   const CancellationToken batch_token = batch_source.token();
-  const auto run_one = [&](size_t i) {
-    if (admission != nullptr) {
-      results[i].admission = admission->Admit(queries[i]);
-      if (!results[i].admission.admitted) {
-        // Shed before any I/O: no RunOne, no page read, no node access.
-        results[i].status =
-            Status::ResourceExhausted(results[i].admission.reason);
-        results[i].outcome = QueryOutcome::kRejected;
-        FoldBatchQueryMetrics(results[i], -1.0, SchedulerMode::kBlocking);
-        RetireQuery(options, queries[i], results[i], "blocking", -1.0,
-                    nullptr);
-        return;
-      }
-    }
-    std::shared_ptr<obs::QueryObservation> live;
-    if (options.query_registry != nullptr) {
-      live = options.query_registry->Register(
-          BatchQueryKindName(queries[i].kind),
-          QueryFamilyName(queries[i].options.family), "blocking",
-          queries[i].options.k);
-    }
-    const bool timed = MetricsTimingOn();
-    const auto start = timed ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
-    RunOne(tree_p, tree_q, queries[i], options, batch_token, live.get(),
-           &results[i]);
-    double seconds = -1.0;
-    if (timed) {
-      seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
-    }
-    results[i].seconds = seconds;
-    FoldBatchQueryMetrics(results[i], seconds, SchedulerMode::kBlocking);
-    RetireQuery(options, queries[i], results[i], "blocking", seconds, live);
-    if (admission != nullptr) {
-      admission->Release(results[i].admission);
-      // Close the loop: the measured peak and buffer behaviour of every
-      // query that ran refine later estimates (no-op unless
-      // feedback_alpha > 0).
-      admission->RecordOutcome(results[i].admission,
-                               results[i].peak_memory_bytes,
-                               results[i].stats.node_accesses,
-                               results[i].stats.disk_accesses());
-    }
-    if (options.cancel_batch_on_first_failure && !results[i].status.ok()) {
-      batch_source.Cancel();
-    }
-  };
-
-  if (options.scheduler == SchedulerMode::kResumable) {
-    RunResumableBatch(tree_p, tree_q, queries, options, admission.get(),
-                      &batch_source, batch_token, &results);
-  } else {
-    const size_t threads =
-        options.threads == 0 ? ThreadPool::DefaultThreads() : options.threads;
-    if (threads == 1) {
-      for (size_t i = 0; i < queries.size(); ++i) run_one(i);
-    } else {
-      ThreadPool pool(threads);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        pool.Submit([&run_one, i] { run_one(i); });
-      }
-      pool.Wait();
-    }
-  }
+  RunBatch(tree_p, tree_q, queries, options, admission.get(), &batch_source,
+           batch_token, &results);
 
   if (stats != nullptr) {
     *stats = BatchStats{};

@@ -29,10 +29,14 @@ const char* HsTraversalName(HsTraversal t) {
 
 namespace hs_internal {
 
+/// The join's one traversal. Every node read goes through TryRead with
+/// the join's waker: an empty one (IncrementalDistanceJoin, and
+/// HsKClosestPairs through ResumableHsQuery) makes each read block inline,
+/// a scheduler's parks the join on a miss (hs/resumable.h).
 class JoinImpl {
  public:
   JoinImpl(const RStarTree& tree_p, const RStarTree& tree_q,
-           const HsOptions& options)
+           const HsOptions& options, Waker waker)
       : tree_p_(tree_p),
         tree_q_(tree_q),
         options_(options),
@@ -43,33 +47,22 @@ class JoinImpl {
         queue_(options.queue_distance_threshold, options.queue_page_size,
                options.tie_policy == HsTiePolicy::kDepthFirst),
         objective_(options.family, Metric::kL2, options.query_rect),
-        k_bound_(options.k_bound) {
+        k_bound_(options.k_bound),
+        waker_(std::move(waker)) {
     stats_.quality.bound_is_upper = objective_.BoundIsUpper();
   }
 
   ~JoinImpl() { DrainSpeculation(); }
 
-  Result<std::optional<PairResult>> Next();
   const HsStats& stats() const { return stats_; }
-
-  // --- resumable mode (driven by ResumableHsQuery) ---
-
-  /// Switches the join to non-blocking reads via `waker`. Must be called
-  /// before the first TryNext. In this mode the join never drains the
-  /// buffers (many queries share them under the scheduler; the batch
-  /// executor settles speculation once) and counts its I/O from TryRead
-  /// outcomes instead of thread-local deltas.
-  void EnableResumable(Waker waker) {
-    resumable_ = true;
-    waker_ = std::move(waker);
-  }
 
   enum class NextOutcome { kEmitted, kExhausted, kParked, kError };
 
-  /// Non-blocking Next(): kEmitted fills `*out`; kParked means the waker
-  /// was registered and TryNext must be re-called after it fires (the join
+  /// The join's Next(): kEmitted fills `*out`; kParked means the waker was
+  /// registered and TryNext must be re-called after it fires (the join
   /// resumes at the interrupted read — the pop, the context poll, and all
   /// per-item bookkeeping happened exactly once); kError fills `*error`.
+  /// Never kParked with an empty waker.
   NextOutcome TryNext(std::optional<PairResult>* out, Status* error);
 
  private:
@@ -82,7 +75,6 @@ class JoinImpl {
     double key;
   };
 
-  Status Start();
   void PushItem(QueueItem item);
   /// Range-restriction test for one queue-item side; always true for
   /// unrestricted families.
@@ -96,30 +88,23 @@ class JoinImpl {
   double KeyOf(const ItemSide& a, const ItemSide& b) const;
   int32_t TieLevelOf(const ItemSide& a, const ItemSide& b) const;
 
-  /// Expands `node_side` (reading its page from `tree`) against the fixed
-  /// `other`; `node_first` says which element of the pair the node is.
-  Status ExpandOneSide(const RStarTree& tree, const ItemSide& node_side,
-                       const ItemSide& other, bool node_first);
-  Status ExpandBoth(const ItemSide& a, const ItemSide& b);
-
-  /// The push half of ExpandOneSide (everything after the node read):
-  /// enqueues the child pairs and speculates on the nearest ones. Returns
-  /// the number of speculative reads issued (the blocking path ignores it;
-  /// the resumable path accumulates it into its local issued counter).
+  /// Expands a node against the fixed `other` once the node is in hand:
+  /// enqueues the child pairs and speculates on the nearest ones.
+  /// `node_first` says which element of the pair the node is. Returns the
+  /// number of speculative reads issued.
   size_t PushChildrenOneSide(const NodeImage& node, const ItemSide& other,
                              bool node_first);
-  /// The push half of ExpandBoth.
+  /// Expands both nodes of a pair at once (kSimultaneous).
   size_t PushChildrenBoth(const NodeImage& node_a, const NodeImage& node_b);
 
-  /// Resumable Start(): parks on the root reads instead of blocking.
+  /// Reads the two roots (parking on a miss) and seeds the queue.
   TryOutcome TryStart(Status* error);
-  /// Resumable expansion of pending_item_: reads whichever node of the
-  /// pair is not cached yet (parking on a miss), then pushes children.
+  /// Expansion of pending_item_: reads whichever node of the pair is not
+  /// in hand yet (parking on a miss), then pushes children.
   TryOutcome TryExpand(Status* error);
 
-  /// Tallies one served non-blocking read (see ResumableCpqQuery: a
-  /// self-join's shared buffer counts each miss on both sides, matching
-  /// the blocking thread-local delta arithmetic).
+  /// Tallies one served read (see ResumableCpqQuery: a self-join's shared
+  /// buffer counts each miss on both sides).
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
   void NotePark(PageId page);
   void NoteResumed();
@@ -128,13 +113,16 @@ class JoinImpl {
   /// popped (or about-to-pop) queue key bounding everything unemitted.
   void LatchStop(StopCause cause, double key);
 
-  /// Snapshots the per-join I/O counters (buffer misses, queue spills,
-  /// speculation) into stats_ as deltas against the Start() baselines.
+  /// Copies the per-join I/O tallies (buffer misses, queue spills,
+  /// speculation) into stats_.
   void CaptureIoStats();
 
-  /// Discards staged-but-unclaimed speculative pages so the accounting
-  /// identity (issued == hits + wasted) holds when the join ends. No-op
-  /// unless prefetch is enabled.
+  /// An inline join discards staged-but-unclaimed speculative pages so the
+  /// accounting identity (issued == hits + wasted) holds when it ends. A
+  /// scheduled join shares the buffers with the scheduler's other queries,
+  /// whose staged pages a per-query drain would discard: the batch
+  /// executor settles speculation once after the whole run. No-op unless
+  /// prefetch is enabled.
   void DrainSpeculation();
 
   const RStarTree& tree_p_;
@@ -157,20 +145,16 @@ class JoinImpl {
   uint64_t next_seq_ = 0;
   uint64_t results_emitted_ = 0;
   bool started_ = false;
-  /// Latched stop cause; once set, Next() keeps returning nullopt.
+  /// Latched stop cause; once set, TryNext keeps returning kExhausted.
   StopCause stop_ = StopCause::kNone;
-  BufferStats before_p_;
-  BufferStats before_q_;
 
-  // --- resumable-mode state ---
-  bool resumable_ = false;
-  Waker waker_;
+  Waker waker_;  // empty: inline drive
   /// TryStart progress: 0 = not begun, 1 = reading root P, 2 = reading
   /// root Q, 3 = seeded.
   int root_stage_ = 0;
   Rect root_mbr_p_;
   /// The popped-but-unexpanded item a park interrupted, plus whichever of
-  /// its nodes is already resident (node_a_ doubles as the one-sided /
+  /// its nodes is already in hand (node_a_ doubles as the one-sided /
   /// root-read scratch).
   QueueItem pending_item_;
   bool have_pending_ = false;
@@ -247,89 +231,20 @@ void JoinImpl::LatchStop(StopCause cause, double key) {
 }
 
 void JoinImpl::CaptureIoStats() {
-  if (resumable_) {
-    // Thread-local deltas are meaningless when many queries multiplex one
-    // worker; the resumable path tallies its own TryRead outcomes.
-    stats_.disk_accesses_p = misses_p_;
-    stats_.disk_accesses_q = misses_q_;
-    stats_.prefetch_issued = prefetch_issued_local_;
-    stats_.prefetch_hits = prefetch_hits_local_;
-    stats_.queue_spill_reads = queue_.spill_reads();
-    stats_.queue_spill_writes = queue_.spill_writes();
-    return;
-  }
-  const BufferStats now_p = tree_p_.buffer()->ThreadStats();
-  const BufferStats now_q = tree_q_.buffer()->ThreadStats();
-  stats_.disk_accesses_p = now_p.misses - before_p_.misses;
-  stats_.disk_accesses_q = now_q.misses - before_q_.misses;
-  stats_.prefetch_issued = now_p.prefetch_issued - before_p_.prefetch_issued;
-  stats_.prefetch_hits = now_p.prefetch_hits - before_p_.prefetch_hits;
-  if (tree_q_.buffer() != tree_p_.buffer()) {
-    stats_.prefetch_issued += now_q.prefetch_issued - before_q_.prefetch_issued;
-    stats_.prefetch_hits += now_q.prefetch_hits - before_q_.prefetch_hits;
-  }
+  stats_.disk_accesses_p = misses_p_;
+  stats_.disk_accesses_q = misses_q_;
+  stats_.prefetch_issued = prefetch_issued_local_;
+  stats_.prefetch_hits = prefetch_hits_local_;
   stats_.queue_spill_reads = queue_.spill_reads();
   stats_.queue_spill_writes = queue_.spill_writes();
 }
 
 void JoinImpl::DrainSpeculation() {
-  // Resumable joins share the buffers with the scheduler's other queries;
-  // a per-query drain would discard their staged pages. The batch executor
-  // settles speculation once after the whole run.
-  if (resumable_) return;
-  if (!prefetch_.enabled()) return;
+  if (waker_ || !prefetch_.enabled()) return;
   tree_p_.buffer()->DrainPrefetches();
   if (tree_q_.buffer() != tree_p_.buffer()) {
     tree_q_.buffer()->DrainPrefetches();
   }
-}
-
-Status JoinImpl::Start() {
-  started_ = true;
-  before_p_ = tree_p_.buffer()->ThreadStats();
-  before_q_ = tree_q_.buffer()->ThreadStats();
-  prefetch_.Configure(tree_p_.buffer(), tree_q_.buffer(),
-                      options_.prefetch_window, accounting_ ? ctx_ : nullptr);
-  if (tree_p_.size() == 0 || tree_q_.size() == 0) return Status::OK();
-  // Pre-trip: a pre-expired or pre-cancelled join reads no pages. Nothing
-  // was examined, so nothing is certified (bound 0).
-  if (accounting_) {
-    const StopCause pre = ctx_->Check(0, 0);
-    if (pre != StopCause::kNone) {
-      LatchStop(pre, objective_.WeakestKey());
-      return Status::OK();
-    }
-  }
-  QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
-  Rect mbr_p, mbr_q;
-  Status read_status = tree_p_.RootMbr(&mbr_p, read_ctx);
-  if (read_status.ok()) read_status = tree_q_.RootMbr(&mbr_q, read_ctx);
-  if (read_status.code() == StatusCode::kDeadlineExceeded) {
-    // Storage abandoned a retry: the deadline is unmeetable. Same
-    // certificate as the pre-trip — no pair was emitted yet.
-    LatchStop(StopCause::kDeadline, objective_.WeakestKey());
-    return Status::OK();
-  }
-  KCPQ_RETURN_IF_ERROR(read_status);
-  QueueItem item;
-  item.a = ItemSide{true, mbr_p, tree_p_.root_page(), tree_p_.height() - 1};
-  item.b = ItemSide{true, mbr_q, tree_q_.root_page(), tree_q_.height() - 1};
-  item.key = KeyOf(item.a, item.b);
-  item.tie_level = TieLevelOf(item.a, item.b);
-  PushItem(item);
-  return Status::OK();
-}
-
-Status JoinImpl::ExpandOneSide(const RStarTree& tree,
-                               const ItemSide& node_side,
-                               const ItemSide& other, bool node_first) {
-  NodeImagePtr node;
-  KCPQ_RETURN_IF_ERROR(
-      tree.ReadNode(node_side.id, node_side.level, &node,
-                    accounting_ ? ctx_ : nullptr));
-  ++stats_.node_accesses;
-  PushChildrenOneSide(*node, other, node_first);
-  return Status::OK();
 }
 
 size_t JoinImpl::PushChildrenOneSide(const NodeImage& node,
@@ -355,16 +270,6 @@ size_t JoinImpl::PushChildrenOneSide(const NodeImage& node,
     }
   }
   return speculate ? prefetch_.Issue() : 0;
-}
-
-Status JoinImpl::ExpandBoth(const ItemSide& a, const ItemSide& b) {
-  QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
-  NodeImagePtr node_a, node_b;
-  KCPQ_RETURN_IF_ERROR(tree_p_.ReadNode(a.id, a.level, &node_a, read_ctx));
-  KCPQ_RETURN_IF_ERROR(tree_q_.ReadNode(b.id, b.level, &node_b, read_ctx));
-  stats_.node_accesses += 2;
-  PushChildrenBoth(*node_a, *node_b);
-  return Status::OK();
 }
 
 size_t JoinImpl::PushChildrenBoth(const NodeImage& node_a,
@@ -413,87 +318,6 @@ size_t JoinImpl::PushChildrenBoth(const NodeImage& node_a,
   return speculate ? prefetch_.Issue() : 0;
 }
 
-Result<std::optional<PairResult>> JoinImpl::Next() {
-  if (!started_) KCPQ_RETURN_IF_ERROR(Start());
-  if (stop_ != StopCause::kNone) return std::optional<PairResult>();
-  if (options_.k_bound > 0 && results_emitted_ >= options_.k_bound) {
-    return std::optional<PairResult>();
-  }
-  while (!queue_.Empty()) {
-    const QueueItem item = queue_.PopMin();
-    ++stats_.items_popped;
-    if (!item.a.is_node && !item.b.is_node) {
-      // The next closest pair: no unexpanded item can beat its key.
-      // ClosestPoints realizes the key; for point objects it returns the
-      // points themselves.
-      PairResult out;
-      ClosestPoints(item.a.rect, item.b.rect, &out.p, &out.q);
-      out.p_id = item.a.id;
-      out.q_id = item.b.id;
-      out.distance = objective_.KeyToDistance(item.key);
-      ++results_emitted_;
-      stats_.quality.pairs_found = results_emitted_;
-      // No drain here: the join is incremental and staged speculation may
-      // still be claimed by the next Next() call.
-      CaptureIoStats();
-      return std::optional<PairResult>(out);
-    }
-    // About to spend I/O expanding a node pair: poll the context. On a
-    // stop the popped key certifies everything not yet emitted — the
-    // queue pops in ascending key order, so nothing remaining (or beneath
-    // it) can be closer than this item. The memory check covers the queue
-    // plus any buffer pages this query was charged for.
-    if (accounting_) {
-      const StopCause cause = ctx_->Check(
-          stats_.node_accesses, queue_.size() * sizeof(QueueItem));
-      if (cause != StopCause::kNone) {
-        LatchStop(cause, item.key);
-        return std::optional<PairResult>();
-      }
-    }
-    Status expand_status;
-    if (item.a.is_node && item.b.is_node) {
-      switch (options_.traversal) {
-        case HsTraversal::kBasic:
-          // Priority is given to one of the trees, arbitrarily: the first.
-          expand_status =
-              ExpandOneSide(tree_p_, item.a, item.b, /*node_first=*/true);
-          break;
-        case HsTraversal::kEven:
-          // Expand the node at the shallower depth (higher level).
-          if (item.a.level >= item.b.level) {
-            expand_status =
-                ExpandOneSide(tree_p_, item.a, item.b, /*node_first=*/true);
-          } else {
-            expand_status = ExpandOneSide(tree_q_, item.b, item.a,
-                                          /*node_first=*/false);
-          }
-          break;
-        case HsTraversal::kSimultaneous:
-          expand_status = ExpandBoth(item.a, item.b);
-          break;
-      }
-    } else if (item.a.is_node) {
-      expand_status =
-          ExpandOneSide(tree_p_, item.a, item.b, /*node_first=*/true);
-    } else {
-      expand_status =
-          ExpandOneSide(tree_q_, item.b, item.a, /*node_first=*/false);
-    }
-    if (expand_status.code() == StatusCode::kDeadlineExceeded) {
-      // Storage abandoned a retry mid-expansion: same certificate as a
-      // deadline poll — this item's key bounds everything unemitted.
-      LatchStop(StopCause::kDeadline, item.key);
-      return std::optional<PairResult>();
-    }
-    KCPQ_RETURN_IF_ERROR(expand_status);
-  }
-  DrainSpeculation();
-  CaptureIoStats();
-  stats_.quality.pairs_found = results_emitted_;
-  return std::optional<PairResult>();
-}
-
 void JoinImpl::CountRead(const BufferManager::TryReadOutcome& outcome,
                          bool is_p) {
   if (outcome.hit) return;
@@ -539,8 +363,6 @@ void JoinImpl::NoteResumed() {
 JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
   QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
   if (root_stage_ == 0) {
-    before_p_ = tree_p_.buffer()->ThreadStats();
-    before_q_ = tree_q_.buffer()->ThreadStats();
     prefetch_.Configure(tree_p_.buffer(), tree_q_.buffer(),
                         options_.prefetch_window,
                         accounting_ ? ctx_ : nullptr);
@@ -549,6 +371,8 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
       root_stage_ = 3;
       return TryOutcome::kOk;
     }
+    // Pre-trip: a pre-expired or pre-cancelled join reads no pages.
+    // Nothing was examined, so nothing is certified (bound 0).
     if (accounting_) {
       const StopCause pre = ctx_->Check(0, 0);
       if (pre != StopCause::kNone) {
@@ -570,6 +394,8 @@ JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
       return TryOutcome::kParked;
     }
     if (s.code() == StatusCode::kDeadlineExceeded) {
+      // Storage abandoned a retry: the deadline is unmeetable. Same
+      // certificate as the pre-trip — no pair was emitted yet.
       LatchStop(StopCause::kDeadline, objective_.WeakestKey());
       started_ = true;
       root_stage_ = 3;
@@ -661,20 +487,22 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
       CountRead(outcome, /*is_p=*/false);
       have_b_ = true;
     }
-    // Both nodes resident: the expansion's bookkeeping and pushes run
-    // exactly once, identical to the blocking ExpandBoth.
+    // Both nodes in hand: the expansion's bookkeeping and pushes run
+    // exactly once, however many parks interleaved.
     stats_.node_accesses += 2;
     prefetch_issued_local_ += PushChildrenBoth(*node_a_, *node_b_);
     return TryOutcome::kOk;
   }
 
-  // One-sided expansion: same side selection as the blocking Next().
+  // One-sided expansion.
   const RStarTree* tree;
   const ItemSide* node_side;
   const ItemSide* other;
   bool node_first;
   if (item.a.is_node && item.b.is_node) {
-    // kBasic always expands the first tree; kEven the shallower node.
+    // kBasic always expands the first tree (priority is given to one of
+    // the trees, arbitrarily); kEven the node at the shallower depth
+    // (higher level).
     if (options_.traversal == HsTraversal::kBasic ||
         item.a.level >= item.b.level) {
       tree = &tree_p_;
@@ -737,6 +565,7 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
   for (;;) {
     if (!have_pending_) {
       if (queue_.Empty()) {
+        DrainSpeculation();
         CaptureIoStats();
         stats_.quality.pairs_found = results_emitted_;
         return NextOutcome::kExhausted;
@@ -744,6 +573,10 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
       pending_item_ = queue_.PopMin();
       ++stats_.items_popped;
       if (!pending_item_.a.is_node && !pending_item_.b.is_node) {
+        // The next closest pair: no unexpanded item can beat its key.
+        // ClosestPoints realizes the key; for point objects it returns the
+        // points themselves. No drain here: the join is incremental and
+        // staged speculation may still be claimed by the next call.
         PairResult res;
         ClosestPoints(pending_item_.a.rect, pending_item_.b.rect, &res.p,
                       &res.q);
@@ -756,9 +589,12 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
         *out = res;
         return NextOutcome::kEmitted;
       }
-      // The context poll happens on the fresh pop only — a park resumes at
-      // the interrupted read, never re-polling (the blocking path polls
-      // once per popped pair).
+      // About to spend I/O expanding a node pair: poll the context, once
+      // per popped pair (a park resumes at the interrupted read, never
+      // re-polling). On a stop the popped key certifies everything not yet
+      // emitted: the queue pops in ascending key order, so nothing
+      // remaining (or beneath it) can be closer. The memory check covers
+      // the queue plus any buffer pages this query was charged for.
       if (accounting_) {
         const StopCause cause = ctx_->Check(
             stats_.node_accesses, queue_.size() * sizeof(QueueItem));
@@ -775,6 +611,8 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
     if (r == TryOutcome::kError) return NextOutcome::kError;
     have_pending_ = false;
     if (r == TryOutcome::kDeadline) {
+      // Storage abandoned a retry mid-expansion: same certificate as a
+      // deadline poll — this item's key bounds everything unemitted.
       LatchStop(StopCause::kDeadline, pending_item_.key);
       return NextOutcome::kExhausted;
     }
@@ -786,13 +624,25 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
 IncrementalDistanceJoin::IncrementalDistanceJoin(const RStarTree& tree_p,
                                                  const RStarTree& tree_q,
                                                  const HsOptions& options)
-    : impl_(std::make_unique<hs_internal::JoinImpl>(tree_p, tree_q, options)) {
-}
+    : impl_(std::make_unique<hs_internal::JoinImpl>(tree_p, tree_q, options,
+                                                    Waker())) {}
 
 IncrementalDistanceJoin::~IncrementalDistanceJoin() = default;
 
 Result<std::optional<PairResult>> IncrementalDistanceJoin::Next() {
-  return impl_->Next();
+  using Outcome = hs_internal::JoinImpl::NextOutcome;
+  std::optional<PairResult> out;
+  Status error;
+  switch (impl_->TryNext(&out, &error)) {
+    case Outcome::kEmitted:
+    case Outcome::kExhausted:
+      return out;
+    case Outcome::kParked:
+      return Status::Internal("inline join parked");
+    case Outcome::kError:
+      break;
+  }
+  return error;
 }
 
 const HsStats& IncrementalDistanceJoin::stats() const {
@@ -829,40 +679,22 @@ Result<std::vector<PairResult>> HsKClosestPairs(const RStarTree& tree_p,
                                                 const RStarTree& tree_q,
                                                 size_t k, HsOptions options,
                                                 HsStats* stats) {
-#if KCPQ_METRICS
-  const bool timed = obs::Enabled();
-#else
-  const bool timed = false;
-#endif
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-  options.k_bound = k;
-  IncrementalDistanceJoin join(tree_p, tree_q, options);
-  std::vector<PairResult> out;
-  out.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    KCPQ_ASSIGN_OR_RETURN(std::optional<PairResult> next, join.Next());
-    if (!next.has_value()) break;
-    out.push_back(*next);
-  }
-  if (stats != nullptr) *stats = join.stats();
-  FoldHsMetrics(join.stats(),
-                timed ? std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count()
-                      : -1.0,
-                options.family);
-  return out;
+  // No waker: every read blocks inline and one Step runs the join.
+  ResumableHsQuery query(tree_p, tree_q, k, std::move(options), stats,
+                         Waker());
+  query.Step();
+  KCPQ_RETURN_IF_ERROR(query.status());
+  return query.TakeResults();
 }
 
 ResumableHsQuery::ResumableHsQuery(const RStarTree& tree_p,
                                    const RStarTree& tree_q, size_t k,
                                    HsOptions options, HsStats* stats,
                                    Waker waker)
-    : k_(k), stats_(stats), family_(options.family) {
+    : k_(k), stats_(stats), family_(options.family), inline_(!waker) {
   options.k_bound = k;
-  impl_ = std::make_unique<hs_internal::JoinImpl>(tree_p, tree_q, options);
-  impl_->EnableResumable(std::move(waker));
+  impl_ = std::make_unique<hs_internal::JoinImpl>(tree_p, tree_q, options,
+                                                  std::move(waker));
 #if KCPQ_METRICS
   timed_ = obs::Enabled();
 #endif
@@ -877,9 +709,13 @@ ResumableTask::StepResult ResumableHsQuery::Step() {
   while (results_.size() < k_) {
     std::optional<PairResult> next;
     Status error;
-    const auto r = impl_->TryNext(&next, &error);
+    auto r = impl_->TryNext(&next, &error);
     if (r == hs_internal::JoinImpl::NextOutcome::kParked) {
-      return StepResult::kParked;
+      if (!inline_) return StepResult::kParked;
+      // Nothing could wake an inline join (unreachable: TryRead without a
+      // waker never parks).
+      r = hs_internal::JoinImpl::NextOutcome::kError;
+      error = Status::Internal("inline join parked");
     }
     if (r == hs_internal::JoinImpl::NextOutcome::kError) {
       final_status_ = std::move(error);

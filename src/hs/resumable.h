@@ -1,14 +1,14 @@
-// Resumable Hjaltason–Samet incremental distance join: the HS analog of
-// cpq/resumable.h. The join's priority-queue loop is already iterative, so
-// resumability only needs the node reads made non-blocking: the join
-// remembers the popped-but-unexpanded item plus whichever node of the pair
-// is already resident, parks on the missing one, and re-enters the
-// expansion — never the pop or the context poll — when the page lands.
-//
-// Equivalence contract (tests/resumable_test.cc): identical emitted pairs,
-// certificates, and per-query disk-access counts to HsKClosestPairs. The
-// same lifetime rule as ResumableCpqQuery applies: drain the tree buffers
-// before destroying the task or its QueryContext.
+// The Hjaltason–Samet top-K join as a resumable task. The join's priority
+// queue loop (hs/hs.cc) is its one traversal: it remembers the
+// popped-but-unexpanded item plus whichever node of the pair is already in
+// hand, so with a scheduler's waker it parks on a missing node and
+// re-enters the expansion — never the pop or the context poll — when the
+// page lands. With an empty waker every read blocks inline and one Step
+// runs the join; HsKClosestPairs is exactly that. Results, certificates
+// and per-query disk accesses therefore do not depend on the drive mode.
+// The same lifetime rule as ResumableCpqQuery applies: a scheduled join
+// leaves its staged speculation to the caller's buffer drain, which must
+// run before the task or its QueryContext is destroyed.
 
 #ifndef KCPQ_HS_RESUMABLE_H_
 #define KCPQ_HS_RESUMABLE_H_
@@ -22,13 +22,13 @@
 
 namespace kcpq {
 
-/// One resumable HS top-K join (the resumable counterpart of
-/// HsKClosestPairs; sets k_bound = k). Construct, Step until kDone,
+/// One HS top-K join (sets k_bound = k). Construct, Step until kDone,
 /// read status()/TakeResults(), discard.
 class ResumableHsQuery final : public ResumableTask {
  public:
   /// `stats` may be null. The trees must outlive the task and any buffer
   /// drain settling its speculation; `options.context` (if set) likewise.
+  /// An empty `waker` drives the join inline.
   ResumableHsQuery(const RStarTree& tree_p, const RStarTree& tree_q, size_t k,
                    HsOptions options, HsStats* stats, Waker waker);
   ~ResumableHsQuery() override;
@@ -47,6 +47,7 @@ class ResumableHsQuery final : public ResumableTask {
   std::vector<PairResult> results_;
   Status final_status_;
   bool done_ = false;
+  bool inline_ = false;  // built without a waker
   bool timed_ = false;
   std::chrono::steady_clock::time_point start_;
 };

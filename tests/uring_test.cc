@@ -21,10 +21,7 @@
 // running kernel refuses io_uring, so a CI lane without ring support
 // reports SKIPPED rather than a hollow PASS.
 
-#include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/resource.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,97 +44,19 @@
 #include "storage/file_storage.h"
 #include "storage/retrying_storage.h"
 #include "storage/uring_ring.h"
+#include "tests/file_tree_fixture.h"
 #include "tests/test_util.h"
 
 namespace kcpq {
 namespace {
 
+using testing::FileTreeFixture;
 using testing::MakeClusteredItems;
 using testing::MakeUniformItems;
 
 constexpr CpqAlgorithm kAllAlgorithms[] = {
     CpqAlgorithm::kNaive, CpqAlgorithm::kExhaustive, CpqAlgorithm::kSimple,
     CpqAlgorithm::kSortedDistances, CpqAlgorithm::kHeap};
-
-#define KCPQ_SKIP_WITHOUT_URING()                                        \
-  do {                                                                   \
-    if (!UringAvailable()) {                                             \
-      GTEST_SKIP() << "io_uring unavailable: " << UringUnavailableReason(); \
-    }                                                                    \
-  } while (0)
-
-/// A real on-disk tree: FileStorageManager under a BufferManager, built in
-/// a per-fixture temp file so rings operate on genuine file descriptors.
-class FileTreeFixture {
- public:
-  explicit FileTreeFixture(size_t buffer_pages = 0) {
-    char tmpl[] = "/tmp/kcpq_uring_XXXXXX";
-    const int fd = ::mkstemp(tmpl);
-    KCPQ_CHECK_OK(fd >= 0 ? Status::OK() : Status::IoError("mkstemp"));
-    ::close(fd);
-    path_ = tmpl;
-    auto created = FileStorageManager::Create(path_);
-    KCPQ_CHECK_OK(created.status());
-    storage_ = std::move(created).value();
-    buffer_ = std::make_unique<BufferManager>(storage_.get(), buffer_pages);
-    auto tree = RStarTree::Create(buffer_.get());
-    KCPQ_CHECK_OK(tree.status());
-    tree_ = std::move(tree).value();
-  }
-
-  ~FileTreeFixture() {
-    tree_.reset();
-    buffer_.reset();
-    storage_.reset();
-    ::unlink(path_.c_str());
-  }
-
-  Status Build(const std::vector<std::pair<Point, uint64_t>>& items) {
-    for (const auto& [p, id] : items) {
-      KCPQ_RETURN_IF_ERROR(tree_->Insert(p, id));
-    }
-    return tree_->Flush();
-  }
-
-  /// Drops the file from the OS page cache (after writing it back), so
-  /// the next reads cannot be served without a wait and go to the ring.
-  /// A failed no-wait read may have started readahead that is still in
-  /// flight, and DONTNEED skips pages under I/O, so this repeats until
-  /// mincore shows no page of the file resident.
-  void EvictPageCache() {
-    const int fd = ::open(path_.c_str(), O_RDONLY);
-    ASSERT_GE(fd, 0) << path_;
-    ::fsync(fd);
-    struct stat st {};
-    ASSERT_EQ(::fstat(fd, &st), 0);
-    const size_t bytes = static_cast<size_t>(st.st_size);
-    void* map = ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd, 0);
-    ASSERT_NE(map, MAP_FAILED);
-    const long os_page = ::sysconf(_SC_PAGESIZE);
-    std::vector<unsigned char> resident((bytes + os_page - 1) / os_page);
-    bool evicted = false;
-    for (int attempt = 0; attempt < 1000 && !evicted; ++attempt) {
-      if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-      ASSERT_EQ(::mincore(map, bytes, resident.data()), 0);
-      evicted = std::none_of(resident.begin(), resident.end(),
-                             [](unsigned char r) { return (r & 1) != 0; });
-    }
-    ::munmap(map, bytes);
-    ::close(fd);
-    ASSERT_TRUE(evicted) << path_ << " stayed in the page cache";
-  }
-
-  RStarTree& tree() { return *tree_; }
-  BufferManager& buffer() { return *buffer_; }
-  FileStorageManager& storage() { return *storage_; }
-
- private:
-  std::string path_;
-  std::unique_ptr<FileStorageManager> storage_;
-  std::unique_ptr<BufferManager> buffer_;
-  std::unique_ptr<RStarTree> tree_;
-};
 
 /// Reads the two stores' rings were handed since their last SetIoBackend.
 uint64_t RingReads(FileTreeFixture& fp, FileTreeFixture& fq) {

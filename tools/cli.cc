@@ -998,11 +998,9 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   obs::TraceBuffer trace;
   const bool want_profile = diag.explain || obs_on;
   const bool want_trace = !diag.trace_path.empty() || obs_on;
-  if (want_profile || want_trace) {
-    if (want_profile) ctx.set_profile(&profile);
-    if (want_trace) ctx.set_trace(&trace);
-    options.context = &ctx;
-  }
+  if (want_profile) ctx.set_profile(&profile);
+  if (want_trace) ctx.set_trace(&trace);
+  options.context = &ctx;
   std::shared_ptr<obs::QueryObservation> live;
   if (obs_on) {
     live = obs::QueryRegistry::Global().Register(
@@ -1017,23 +1015,20 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   CpqStats stats;
   Timer timer;
   std::vector<PairResult> pairs;
-  if (scheduler == SchedulerMode::kResumable) {
-    // Single-query diagnostic path for the completion-driven engine: the
-    // state machine is driven to completion inline (InlineWakerGate), so
-    // --explain/--trace observe exactly what a multiplexed worker would.
-    options.context = &ctx;
+  {
+    // --scheduler=resumable hands the query a waker, so it parks on each
+    // miss and InlineWakerGate resumes it: --explain/--trace observe
+    // exactly what a multiplexed worker would. Otherwise it runs inline.
     InlineWakerGate gate;
-    ResumableCpqQuery task(*p.tree, *q.tree, options, &stats,
-                           gate.waker());
+    ResumableCpqQuery task(
+        *p.tree, *q.tree, options, &stats,
+        scheduler == SchedulerMode::kResumable ? gate.waker() : Waker());
     gate.RunToCompletion(task);
     // Settle speculation while the task (the prefetch issuer) is alive.
     p.buffer->DrainPrefetches();
     if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
     KCPQ_RETURN_IF_ERROR(task.status());
     pairs = task.TakeResults();
-  } else {
-    KCPQ_ASSIGN_OR_RETURN(
-        pairs, KClosestPairs(*p.tree, *q.tree, options, &stats));
   }
   const double seconds = timer.ElapsedSeconds();
   PrintPairs(out, pairs);
@@ -1412,21 +1407,19 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
   CpqStats stats;
   Timer timer;
   std::vector<PairResult> pairs;
-  if (scheduler == SchedulerMode::kResumable) {
-    // Same single-query diagnostic shape as kcp: the state machine runs
-    // to completion inline, parking and resuming through InlineWakerGate.
+  {
+    // Same single-query shape as kcp: a waker under --scheduler=resumable
+    // (parking and resuming through InlineWakerGate), inline otherwise.
     QueryContext ctx(control);
     InlineWakerGate gate;
-    ResumableSemiQuery task(*p.tree, *q.tree, &stats, control, &ctx,
-                            gate.waker());
+    ResumableSemiQuery task(
+        *p.tree, *q.tree, &stats, control, &ctx,
+        scheduler == SchedulerMode::kResumable ? gate.waker() : Waker());
     gate.RunToCompletion(task);
     p.buffer->DrainPrefetches();
     if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
     KCPQ_RETURN_IF_ERROR(task.status());
     pairs = task.TakeResults();
-  } else {
-    KCPQ_ASSIGN_OR_RETURN(
-        pairs, SemiClosestPairs(*p.tree, *q.tree, &stats, control));
   }
   PrintPairs(out, pairs);
   PrintQuality(out, stats.quality);
