@@ -4,18 +4,18 @@
 // (src/obs/) is cheap enough to leave on. One binary, two modes: the same
 // uniform 100K x 100K HEAP K = 10 query is timed with the runtime metrics
 // switch off (obs::SetEnabled(false): every KCPQ_METRIC_* macro reduces
-// to one predicted branch) and on (counters actually increment). The
-// relative overhead
+// to one predicted branch) and on (counters actually increment), in
+// interleaved off/on arms (bench_util.h, MeasureOverhead). The run passes
+// only when the bootstrap 95% CI of the median per-pair overhead
 //
 //   t_on / t_off - 1
 //
-// must stay under KCPQ_TRACE_MAX_OVERHEAD (default 5%) or the bench exits
-// non-zero — CI runs it as a smoke job. Reps are interleaved and each
-// mode keeps its minimum, so machine noise inflates both sides equally.
+// ends at or below KCPQ_TRACE_MAX_OVERHEAD (default 5%); an interval still
+// wider than the bound at the pair cap fails as unresolved. CI runs it as
+// a smoke job.
 //
 // Results land in BENCH_trace.json for machine consumption.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -25,8 +25,6 @@
 namespace kcpq {
 namespace bench {
 namespace {
-
-constexpr int kReps = 5;
 
 double MaxOverhead() {
   if (const char* env = std::getenv("KCPQ_TRACE_MAX_OVERHEAD");
@@ -49,45 +47,26 @@ int Main() {
   options.algorithm = CpqAlgorithm::kHeap;
   options.k = 10;
 
-  // Warm up once per mode (first touch pays allocator + registry setup).
-  obs::SetEnabled(false);
-  RunCpq(*store_p, *store_q, options, 512);
+  const OverheadMeasurement m =
+      MeasureOverhead(MaxOverhead(), [&](bool on) {
+        obs::SetEnabled(on);
+        return RunCpq(*store_p, *store_q, options, 512).seconds;
+      });
   obs::SetEnabled(true);
-  RunCpq(*store_p, *store_q, options, 512);
-
-  double t_off = 0.0;
-  double t_on = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    obs::SetEnabled(false);
-    const double off = RunCpq(*store_p, *store_q, options, 512).seconds;
-    obs::SetEnabled(true);
-    const double on = RunCpq(*store_p, *store_q, options, 512).seconds;
-    t_off = rep == 0 ? off : std::min(t_off, off);
-    t_on = rep == 0 ? on : std::min(t_on, on);
-    std::printf("rep %d: off %.3f ms, on %.3f ms\n", rep + 1, off * 1e3,
-                on * 1e3);
-  }
-  obs::SetEnabled(true);
-
-  const double overhead = t_off > 0.0 ? t_on / t_off - 1.0 : 0.0;
-  const double max_overhead = MaxOverhead();
-  std::printf("best-of-%d: off %.3f ms, on %.3f ms, overhead %.2f%% "
-              "(limit %.0f%%)\n",
-              kReps, t_off * 1e3, t_on * 1e3, overhead * 100,
-              max_overhead * 100);
 
   BenchJson json("trace");
-  json.AddScalar("seconds_metrics_off", t_off);
-  json.AddScalar("seconds_metrics_on", t_on);
-  json.AddScalar("overhead", overhead);
-  json.AddScalar("max_overhead", max_overhead);
+  json.AddScalar("seconds_metrics_off", m.seconds_off);
+  json.AddScalar("seconds_metrics_on", m.seconds_on);
+  m.AddTo(&json);
   json.AddScalar("metrics_compiled_in", obs::MetricsCompiledIn() ? 1.0 : 0.0);
   json.Write();
 
-  if (overhead > max_overhead) {
+  if (!m.passed()) {
     std::fprintf(stderr,
-                 "FAIL: metrics overhead %.2f%% exceeds limit %.0f%%\n",
-                 overhead * 100, max_overhead * 100);
+                 "FAIL: metrics overhead %s: median %.2f%%, 95%% CI up to "
+                 "%.2f%%, limit %.0f%%\n",
+                 m.VerdictName(), m.median * 100, m.ci_high * 100,
+                 m.bound * 100);
     return 1;
   }
   return 0;

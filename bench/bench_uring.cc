@@ -63,7 +63,6 @@ constexpr size_t kShards = 64;
 constexpr size_t kQueries = 128;
 constexpr size_t kWorkers = 4;
 constexpr size_t kMaxInflight = 128;
-constexpr size_t kPrefetchWindow = 8;  // multi-SQE submission batches
 
 // The paper's zero-buffer setting: every node read is a real file read,
 // so per-query counts cannot depend on how queries interleave.
@@ -211,7 +210,6 @@ BatchOutcome RunBatch(FileTree& p, FileTree& q, IoBackend backend,
   options.threads = kWorkers;
   options.scheduler = SchedulerMode::kResumable;
   options.max_inflight = kMaxInflight;
-  options.prefetch_window = kPrefetchWindow;
   BatchStats stats;
   Timer timer;
   BatchOutcome out;
@@ -267,10 +265,10 @@ void Main() {
   }
   std::printf(
       "uniform %zu x %zu on disk, %zu HEAP queries (K in {1, 10, 100}), "
-      "%zu workers, %zu in-flight, prefetch window %zu, cold page cache, "
+      "%zu workers, %zu in-flight, cold page cache, "
       "zero-capacity buffers, pool baseline at %s I/O threads\n",
       Scaled(kTreeSize), Scaled(kTreeSize), kQueries, kWorkers, kMaxInflight,
-      kPrefetchWindow, std::getenv("KCPQ_IO_THREADS"));
+      std::getenv("KCPQ_IO_THREADS"));
   BenchJson json("uring");
   FileTree p = BuildFileTree(Scaled(kTreeSize), 71);
   FileTree q = BuildFileTree(Scaled(kTreeSize), 72);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <random>
 #include <sstream>
 
 #include "buffer/replacement_policy.h"
@@ -268,6 +269,132 @@ void BenchJson::Write() const {
   std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
+}
+
+namespace {
+
+// The overhead gate's constants. An arm repeats its run for at least
+// 50 ms, so it holds a few runs of the smoke-scale workloads and its median
+// ignores one descheduled run. On a shared 4-vCPU VM one pair's overhead
+// still scatters by about 8% (standard deviation over 300 bench_obs
+// pairs), so resolving a 1% bound takes hundreds of pairs: the interval is
+// evaluated at 10, 20, 40, ... pairs — a few looks, not one per pair,
+// which would inflate the chance of a lucky early pass — up to the cap of
+// 640 pairs, about a minute of either bench.
+constexpr double kMinArmSeconds = 0.05;
+constexpr size_t kMinPairs = 10;
+constexpr size_t kMaxPairs = 640;
+constexpr size_t kBootstrapResamples = 2000;
+
+double Median(std::vector<double> v) {
+  const size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(mid),
+                   v.end());
+  const double upper = v[mid];
+  if (v.size() % 2 == 1) return upper;
+  return (*std::max_element(v.begin(),
+                            v.begin() + static_cast<ptrdiff_t>(mid)) +
+          upper) /
+         2.0;
+}
+
+/// Percentile bootstrap of the median: a fixed seed, so one set of
+/// samples always gives one interval.
+void BootstrapMedianCi(const std::vector<double>& samples, double* low,
+                       double* high) {
+  std::mt19937_64 rng(20001);
+  std::uniform_int_distribution<size_t> pick(0, samples.size() - 1);
+  std::vector<double> medians(kBootstrapResamples);
+  std::vector<double> resample(samples.size());
+  for (double& m : medians) {
+    for (double& x : resample) x = samples[pick(rng)];
+    m = Median(resample);
+  }
+  std::sort(medians.begin(), medians.end());
+  *low = medians[kBootstrapResamples * 25 / 1000];
+  *high = medians[kBootstrapResamples * 975 / 1000 - 1];
+}
+
+/// One arm: repeats `run(on)` for at least kMinArmSeconds of wall clock;
+/// returns the median of the seconds the runs report, so one run slowed
+/// by a descheduled thread does not move the arm.
+double RunArm(const std::function<double(bool on)>& run, bool on) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> seconds;
+  do {
+    seconds.push_back(run(on));
+  } while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+               .count() < kMinArmSeconds);
+  return Median(std::move(seconds));
+}
+
+}  // namespace
+
+const char* OverheadMeasurement::VerdictName() const {
+  switch (verdict) {
+    case Verdict::kPass: return "pass";
+    case Verdict::kOverBound: return "over bound";
+    case Verdict::kUnresolved: return "unresolved";
+  }
+  return "unknown";
+}
+
+void OverheadMeasurement::AddTo(BenchJson* json) const {
+  json->AddScalar("overhead", median);
+  json->AddScalar("overhead_ci_low", ci_low);
+  json->AddScalar("overhead_ci_high", ci_high);
+  json->AddScalar("max_overhead", bound);
+  json->AddScalar("pairs", static_cast<double>(overheads.size()));
+  json->AddScalar("passed", passed() ? 1.0 : 0.0);
+}
+
+OverheadMeasurement MeasureOverhead(
+    double bound, const std::function<double(bool on)>& run) {
+  OverheadMeasurement m;
+  m.bound = bound;
+  // Warm both arms (first touch pays allocator and registry set-up).
+  RunArm(run, false);
+  RunArm(run, true);
+  std::vector<double> offs, ons;
+  size_t next_look = kMinPairs;
+  for (size_t pair = 0; pair < kMaxPairs; ++pair) {
+    // Alternate which arm runs first, so slow drift inflates both sides.
+    const bool on_first = pair % 2 == 1;
+    const double first = RunArm(run, on_first);
+    const double second = RunArm(run, !on_first);
+    const double off = on_first ? second : first;
+    const double on = on_first ? first : second;
+    offs.push_back(off);
+    ons.push_back(on);
+    m.overheads.push_back(off > 0.0 ? on / off - 1.0 : 0.0);
+    std::printf("pair %zu: off %.3f ms, on %.3f ms, overhead %+.2f%%\n",
+                pair + 1, off * 1e3, on * 1e3, m.overheads.back() * 100);
+    if (m.overheads.size() < next_look) continue;
+    next_look *= 2;
+    m.median = Median(m.overheads);
+    BootstrapMedianCi(m.overheads, &m.ci_low, &m.ci_high);
+    if (m.ci_high <= bound) {
+      m.verdict = OverheadMeasurement::Verdict::kPass;
+      break;
+    }
+    if (m.ci_low > bound) {
+      m.verdict = OverheadMeasurement::Verdict::kOverBound;
+      break;
+    }
+    m.verdict = m.ci_high - m.ci_low > bound
+                    ? OverheadMeasurement::Verdict::kUnresolved
+                    : OverheadMeasurement::Verdict::kOverBound;
+  }
+  m.seconds_off = Median(offs);
+  m.seconds_on = Median(ons);
+  std::printf(
+      "%zu pairs: off %.3f ms, on %.3f ms, overhead median %+.2f%%, 95%% CI "
+      "[%+.2f%%, %+.2f%%], bound %.1f%%: %s\n",
+      m.overheads.size(), m.seconds_off * 1e3, m.seconds_on * 1e3,
+      m.median * 100, m.ci_low * 100, m.ci_high * 100, bound * 100,
+      m.VerdictName());
+  return m;
 }
 
 }  // namespace bench

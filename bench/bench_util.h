@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -151,6 +152,45 @@ class BenchJson {
   std::vector<std::pair<std::string, double>> scalars_;
   std::vector<std::pair<std::string, Table>> tables_;
 };
+
+/// An overhead gate's measurement: the relative cost of a feature,
+/// `seconds(on) / seconds(off) - 1`, from interleaved off/on arms.
+struct OverheadMeasurement {
+  enum class Verdict {
+    kPass,        // the 95% CI's upper end is within the bound
+    kOverBound,   // the CI lies above the bound, or at the pair cap is
+                  // no wider than the bound but reaches above it
+    kUnresolved,  // the CI is still wider than the bound at the pair cap
+  };
+  Verdict verdict = Verdict::kUnresolved;
+  double bound = 0.0;
+  /// Per pair: the on arm's per-run time over the off arm's, minus 1.
+  std::vector<double> overheads;
+  /// Median of `overheads` and its bootstrap 95% confidence interval.
+  double median = 0.0;
+  double ci_low = 0.0;
+  double ci_high = 0.0;
+  /// Median per-run seconds of each arm.
+  double seconds_off = 0.0;
+  double seconds_on = 0.0;
+
+  bool passed() const { return verdict == Verdict::kPass; }
+  const char* VerdictName() const;
+  /// Records the measurement's scalars (overhead = the median).
+  void AddTo(BenchJson* json) const;
+};
+
+/// The overhead gate shared by bench_obs and bench_trace. Runs pairs of
+/// arms, off and on in alternating order; an arm repeats `run(on)` until
+/// it has run for a minimum duration and takes the mean of the seconds
+/// `run` returns (the bench's own timed region). From a minimum pair
+/// count on, after each pair, the median per-pair overhead and its
+/// bootstrap 95% CI decide: pass once the CI's upper end is <= `bound`,
+/// stop early once its lower end is above it, and at the pair cap fail as
+/// unresolved when the CI is still wider than `bound`. Each pair prints
+/// one line.
+OverheadMeasurement MeasureOverhead(double bound,
+                                    const std::function<double(bool on)>& run);
 
 }  // namespace bench
 }  // namespace kcpq

@@ -1,7 +1,6 @@
 #include "buffer/buffer_manager.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 #include <utility>
 
@@ -23,9 +22,6 @@ struct BufferTlsCounters {
   std::atomic<uint64_t> misses{0};
   std::atomic<uint64_t> evictions{0};
   std::atomic<uint64_t> writebacks{0};
-  std::atomic<uint64_t> prefetch_issued{0};
-  std::atomic<uint64_t> prefetch_hits{0};
-  std::atomic<uint64_t> prefetch_wasted{0};
 
   BufferStats Load() const {
     BufferStats s;
@@ -33,9 +29,6 @@ struct BufferTlsCounters {
     s.misses = misses.load(std::memory_order_relaxed);
     s.evictions = evictions.load(std::memory_order_relaxed);
     s.writebacks = writebacks.load(std::memory_order_relaxed);
-    s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_wasted = prefetch_wasted.load(std::memory_order_relaxed);
     return s;
   }
 };
@@ -56,9 +49,6 @@ void FoldInto(BufferStats& into, const BufferStats& s) {
   into.misses += s.misses;
   into.evictions += s.evictions;
   into.writebacks += s.writebacks;
-  into.prefetch_issued += s.prefetch_issued;
-  into.prefetch_hits += s.prefetch_hits;
-  into.prefetch_wasted += s.prefetch_wasted;
 }
 
 struct ThreadTable;
@@ -84,8 +74,10 @@ struct ThreadStatsRegistry {
 /// owner thread scans without the lock (only the owner mutates the
 /// vector, and it appends under the lock). Counter slots are heap
 /// allocations so their addresses survive vector growth. Entries are tiny
-/// and never removed; a process would have to churn through millions of
-/// BufferManager instances on one thread for the table to matter.
+/// and never removed, so the owner scans newest first: the buffers a
+/// thread reads are normally the ones it met last, and a thread that
+/// outlives thousands of short-lived buffers (a bench opening fresh views
+/// per run) must not pay a scan over all of them on every access.
 struct ThreadTable {
   std::mutex mu;
   std::vector<std::unique_ptr<BufferTlsCounters>> entries;
@@ -107,8 +99,8 @@ struct ThreadTable {
   }
 
   BufferTlsCounters& For(uint64_t instance_id) {
-    for (const auto& e : entries) {
-      if (e->instance_id == instance_id) return *e;
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      if ((*it)->instance_id == instance_id) return **it;
     }
     std::lock_guard<std::mutex> lock(mu);
     entries.push_back(std::make_unique<BufferTlsCounters>(instance_id));
@@ -149,9 +141,9 @@ BufferManager::BufferManager(
 }
 
 BufferManager::~BufferManager() {
-  // Settle speculation first: completion callbacks capture `this`, so the
-  // buffer must not die while reads are in flight.
-  if (prefetch_active_.load(std::memory_order_relaxed)) DrainPrefetches();
+  // Settle the staging area first: completion callbacks capture `this`,
+  // so the buffer must not die while reads are in flight.
+  if (staging_used_.load(std::memory_order_relaxed)) SettleStaged();
   // Best effort; callers that care about durability call Flush themselves.
   Flush();
 }
@@ -170,24 +162,6 @@ void BufferManager::CountMiss() {
   misses_.fetch_add(1, std::memory_order_relaxed);
   Tls().misses.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_misses_total);
-}
-
-void BufferManager::CountPrefetchIssued() {
-  prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-  Tls().prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-  KCPQ_METRIC_INC(obs::KcpqMetrics::Get().prefetch_issued_total);
-}
-
-void BufferManager::CountPrefetchHit() {
-  prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-  Tls().prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-  KCPQ_METRIC_INC(obs::KcpqMetrics::Get().prefetch_hits_total);
-}
-
-void BufferManager::CountPrefetchWasted() {
-  prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-  Tls().prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-  KCPQ_METRIC_INC(obs::KcpqMetrics::Get().prefetch_wasted_total);
 }
 
 namespace {
@@ -266,14 +240,13 @@ Status BufferManager::ReadImage(PageId id, const PageCodec* codec,
 Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
                                const ReadSink& sink, TryReadOutcome* outcome) {
   if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
-  // A miss always counts as a disk access (the paper's metric) whether the
-  // page then arrives via a claimed prefetch or a synchronous read — the
-  // speculative read replaced exactly that physical access.
+  // A miss counts as a disk access (the paper's metric) whether the page
+  // then arrives via a claimed demand fetch or a synchronous read.
   if (capacity_ == 0) {
     CountMiss();
     Page page;
-    if (!(prefetch_active_.load(std::memory_order_relaxed) &&
-          ClaimPrefetched(id, &page, ctx, &outcome->prefetch_claim))) {
+    if (!(staging_used_.load(std::memory_order_relaxed) &&
+          ClaimStaged(id, &page))) {
       KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
     }
     return DeliverPassThrough(std::move(page), sink);
@@ -291,8 +264,8 @@ Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
   // page trigger exactly one storage read per residency.
   CountMiss();
   Page page;
-  if (!(prefetch_active_.load(std::memory_order_relaxed) &&
-        ClaimPrefetched(id, &page, ctx, &outcome->prefetch_claim))) {
+  if (!(staging_used_.load(std::memory_order_relaxed) &&
+        ClaimStaged(id, &page))) {
     KCPQ_RETURN_IF_ERROR(TracedStorageRead(storage_, id, &page, ctx));
   }
   KCPQ_RETURN_IF_ERROR(EvictIfFull(shard));
@@ -322,200 +295,86 @@ Status BufferManager::Write(PageId id, const Page& page) {
   return Status::OK();
 }
 
-size_t BufferManager::Prefetch(const PageId* ids, size_t count,
-                               QueryContext* ctx) {
-  if (count == 0) return 0;
-  prefetch_active_.store(true, std::memory_order_relaxed);
-  // Residency is checked for the whole batch before any entry is
-  // registered. A registered in-flight entry is a promise to submit its
-  // read, and a demand reader waits on that entry while holding the
-  // page's shard lock (ClaimPrefetched): taking a shard lock between
-  // registering and submitting could therefore deadlock with that reader.
-  std::vector<PageId> candidates;
-  candidates.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const PageId id = ids[i];
-    if (capacity_ > 0) {
-      Shard& shard = ShardFor(id);
-      std::lock_guard<std::mutex> shard_lock(shard.mu);
-      // Already resident: a speculative read would be pure waste. (The
-      // page may still be evicted before the demand read arrives; that
-      // just costs the synchronous read it would have cost anyway.)
-      if (shard.frames.count(id) > 0) continue;
-    }
-    candidates.push_back(id);
-  }
-  std::vector<PageId> accepted;
-  accepted.reserve(candidates.size());
-  {
-    std::lock_guard<std::mutex> lock(prefetch_.mu);
-    for (const PageId id : candidates) {
-      if (prefetch_.entries.size() >= prefetch_.capacity) break;
-      // Duplicate of a staged or in-flight read: coalesce.
-      auto [eit, inserted] = prefetch_.entries.emplace(id, PrefetchEntry{});
-      if (!inserted) continue;
-      // The issuer pays for the page below; a claim by a different query
-      // credits it back (ReleaseIssuerLocked).
-      eit->second.issuer = ctx;
-      ++prefetch_.inflight;
-      const auto inflight = static_cast<uint64_t>(prefetch_.inflight);
-      if (inflight > prefetch_inflight_peak_.load(std::memory_order_relaxed)) {
-        prefetch_inflight_peak_.store(inflight, std::memory_order_relaxed);
-      }
-      KCPQ_METRIC_SET_MAX(obs::KcpqMetrics::Get().prefetch_inflight_peak,
-                          inflight);
-      accepted.push_back(id);
-    }
-  }
-  for (const PageId id : accepted) {
-    // Charge speculation to the query at issue time, on the query's own
-    // thread (contexts are single-threaded; completions run on I/O
-    // threads). The charge dedups with any later demand read of the page.
-    if (ctx != nullptr) {
-      ctx->OnPageRead(instance_id_, id, storage_->page_size());
-    }
-    CountPrefetchIssued();
-  }
-  if (!accepted.empty()) {
-    storage_->ReadPagesAsync(
-        accepted.data(), accepted.size(),
-        [this](AsyncPageRead done) { OnPrefetchComplete(std::move(done)); });
-  }
-  return accepted.size();
-}
-
-void BufferManager::OnPrefetchComplete(AsyncPageRead done) {
-  bool wasted = false;
+void BufferManager::OnFetchComplete(AsyncPageRead done) {
   std::vector<Waker> waiters;
   {
-    std::lock_guard<std::mutex> lock(prefetch_.mu);
-    auto it = prefetch_.entries.find(done.id);
-    if (it == prefetch_.entries.end()) return;  // unreachable by protocol
-    PrefetchEntry& entry = it->second;
-    const bool demand = entry.demand;
-    if (entry.abandoned || (!done.status.ok() && !demand)) {
-      // Unwanted or failed speculation: discard. A demand read of a
-      // failed page retries synchronously through the full decorator
-      // stack, so faults surface exactly as they do without prefetch.
-      // (Abandoned demand fetches are dropped the same way; their woken
-      // waiters re-issue fresh.)
-      waiters = std::move(entry.waiters);
-      prefetch_.entries.erase(it);
-      wasted = !demand;
+    std::lock_guard<std::mutex> lock(staging_.mu);
+    auto it = staging_.entries.find(done.id);
+    if (it == staging_.entries.end()) return;  // unreachable by protocol
+    StagedRead& entry = it->second;
+    waiters = std::move(entry.waiters);
+    if (entry.abandoned) {
+      // Unwanted (Free / FlushAndClear): drop it; the woken waiters
+      // re-issue fresh.
+      staging_.entries.erase(it);
     } else {
-      // A failed *demand* fetch stages its error instead: the first
-      // claimer takes it as its read's result, matching the blocking
-      // path's failed synchronous read.
+      // A failed fetch stages its error: the first claimer takes it as its
+      // read's result, matching the blocking path's failed synchronous
+      // read.
       entry.ready = true;
       entry.status = done.status;
       entry.page = std::move(done.page);
-      waiters = std::move(entry.waiters);
     }
   }
-  if (wasted) CountPrefetchWasted();
-  // Wake parked tasks outside the area lock (wakers take scheduler
+  // Wake parked tasks outside the staging lock (wakers take scheduler
   // locks), but before the inflight decrement below: the buffer is
-  // guaranteed alive until a drain observes inflight == 0.
+  // guaranteed alive until a settle observes inflight == 0.
   for (const Waker& waker : waiters) waker();
-  // Last touch, and deliberately under the lock: a drain (possibly the
+  // Last touch, and deliberately under the lock: a settle (possibly the
   // destructor) woken by this decrement may free the buffer the moment it
   // observes inflight == 0, so nothing may run on this thread afterwards
   // except releasing the mutex.
   {
-    std::lock_guard<std::mutex> lock(prefetch_.mu);
-    --prefetch_.inflight;
-    prefetch_.cv.notify_all();
+    std::lock_guard<std::mutex> lock(staging_.mu);
+    --staging_.inflight;
+    staging_.cv.notify_all();
   }
 }
 
-bool BufferManager::ClaimPrefetched(PageId id, Page* out, QueryContext* ctx,
-                                    bool* speculative_claim) {
-  obs::TraceBuffer* trace = ctx != nullptr ? ctx->trace() : nullptr;
-  const uint64_t start_ns = trace != nullptr ? trace->NowNs() : 0;
-  bool speculative = true;
+bool BufferManager::ClaimStaged(PageId id, Page* out) {
   std::vector<Waker> waiters;
+  bool claimed = false;
   {
-    std::unique_lock<std::mutex> lock(prefetch_.mu);
-    auto it = prefetch_.entries.find(id);
-    if (it == prefetch_.entries.end()) return false;
+    std::unique_lock<std::mutex> lock(staging_.mu);
+    auto it = staging_.entries.find(id);
+    if (it == staging_.entries.end()) return false;
     if (!it->second.ready) {
       // In flight: wait for the completion. The caller may hold its shard
-      // lock; completions only ever take prefetch mu, and the entry's
-      // registrar submits its read without taking a shard lock (see
-      // Prefetch), so this cannot deadlock — and the wait is never longer
-      // than the synchronous read it replaces.
-      prefetch_.cv.wait(lock, [&] {
-        auto i = prefetch_.entries.find(id);
-        return i == prefetch_.entries.end() || i->second.ready;
+      // lock; by the staging invariant (file comment) neither the fetch's
+      // submission nor its completion needs that lock.
+      staging_.cv.wait(lock, [&] {
+        auto i = staging_.entries.find(id);
+        return i == staging_.entries.end() || i->second.ready;
       });
-      it = prefetch_.entries.find(id);
-      if (it == prefetch_.entries.end()) return false;  // speculation failed
+      it = staging_.entries.find(id);
+      if (it == staging_.entries.end()) return false;  // abandoned
     }
-    const bool failed = !it->second.status.ok();
-    if (!failed) {
-      speculative = !it->second.demand;
-      ReleaseIssuerLocked(it->second, ctx);
-      *out = std::move(it->second.page);
-    }
+    // A failed fetch is dropped and the caller retries synchronously,
+    // through the full decorator stack and with its own context.
+    claimed = it->second.status.ok();
+    if (claimed) *out = std::move(it->second.page);
     waiters = std::move(it->second.waiters);
-    prefetch_.entries.erase(it);
-    if (failed) {
-      // A demand fetch that failed: drop it and retry synchronously, the
-      // same recovery a failed speculative read gets. (Waiters fire
-      // below, outside the lock, and re-issue fresh.)
-      lock.unlock();
-      for (const Waker& waker : waiters) waker();
-      return false;
-    }
+    staging_.entries.erase(it);
   }
   // Parked tasks waiting on the entry re-run their TryRead: the claimer's
   // caller is about to make the page resident (or, at capacity 0, they
   // re-issue their own fetch).
   for (const Waker& waker : waiters) waker();
-  if (!speculative) return true;
-  *speculative_claim = true;
-  CountPrefetchHit();
-  if (trace != nullptr) {
-    // The io_overlap span is the residual wait a demand read paid for an
-    // overlapped page — the counterpart of the io_wait span a synchronous
-    // read records.
-    obs::TraceEvent e;
-    e.kind = obs::TraceEventKind::kIoOverlap;
-    e.a = id;
-    e.ts_ns = start_ns;
-    const uint64_t end_ns = trace->NowNs();
-    e.dur_ns = end_ns > start_ns ? end_ns - start_ns : 1;
-    trace->Record(e);
-  }
-  return true;
+  return claimed;
 }
 
-void BufferManager::ReleaseIssuerLocked(const PrefetchEntry& entry,
-                                        QueryContext* claimer) {
-  if (entry.issuer != nullptr && entry.issuer != claimer) {
-    entry.issuer->accountant().ReleaseForeignBufferBytes(
-        storage_->page_size());
-  }
-}
-
-void BufferManager::StartDemandFetchLocked(PageId id, const Waker& waker) {
-  // The drain/abandon machinery must now run even if Prefetch was never
-  // called: demand entries live in the same area.
-  prefetch_active_.store(true, std::memory_order_relaxed);
-  auto [it, inserted] = prefetch_.entries.emplace(id, PrefetchEntry{});
+void BufferManager::StartFetchLocked(PageId id, const Waker& waker) {
+  // The synchronous miss path must consult the area from now on.
+  staging_used_.store(true, std::memory_order_relaxed);
+  auto [it, inserted] = staging_.entries.emplace(id, StagedRead{});
   (void)inserted;  // caller verified no entry exists
-  it->second.demand = true;
   it->second.waiters.push_back(waker);
-  // Counts toward inflight (drains wait for it) but not toward the
-  // speculation peak gauge: it is a demand read in flight, not
-  // speculation.
-  ++prefetch_.inflight;
+  ++staging_.inflight;
 }
 
-void BufferManager::IssueDemandFetch(PageId id) {
+void BufferManager::IssueFetch(PageId id) {
   storage_->ReadPagesAsync(
-      &id, 1,
-      [this](AsyncPageRead done) { OnPrefetchComplete(std::move(done)); });
+      &id, 1, [this](AsyncPageRead done) { OnFetchComplete(std::move(done)); });
 }
 
 Status BufferManager::TryRead(PageId id, Page* out, QueryContext* ctx,
@@ -548,24 +407,20 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
   // demand fetch when `start` is set; otherwise it returns false so the
   // caller may first try a read that needs no wait.
   const auto consult = [&](bool start) {
-    std::lock_guard<std::mutex> lock(prefetch_.mu);
-    auto it = prefetch_.entries.find(id);
-    if (it == prefetch_.entries.end()) {
+    std::lock_guard<std::mutex> lock(staging_.mu);
+    auto it = staging_.entries.find(id);
+    if (it == staging_.entries.end()) {
       if (!start) return false;
-      StartDemandFetchLocked(id, waker);
+      StartFetchLocked(id, waker);
       issue = true;
     } else if (!it->second.ready) {
       it->second.waiters.push_back(waker);
     } else {
       served = true;
       result = it->second.status;
-      if (result.ok()) {
-        outcome->prefetch_claim = !it->second.demand;
-        ReleaseIssuerLocked(it->second, ctx);
-        page = std::move(it->second.page);
-      }
+      if (result.ok()) page = std::move(it->second.page);
       waiters = std::move(it->second.waiters);
-      prefetch_.entries.erase(it);
+      staging_.entries.erase(it);
     }
     return true;
   };
@@ -581,13 +436,12 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
       if (!served) consult(true);
     }
     for (const Waker& w : waiters) w();
-    if (issue) IssueDemandFetch(id);
+    if (issue) IssueFetch(id);
     if (!served) {
       outcome->parked = true;
       return Status::OK();
     }
     CountMiss();
-    if (outcome->prefetch_claim) CountPrefetchHit();
     if (!result.ok()) return result;
     return DeliverPassThrough(std::move(page), sink);
   }
@@ -601,7 +455,7 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
       outcome->hit = true;
       return Deliver(fit->second, sink);
     }
-    // Non-resident: consult the staging area (shard mu -> prefetch mu is
+    // Non-resident: consult the staging area (shard mu -> staging mu is
     // the legal lock order). Where a demand fetch would start, probe for a
     // read that needs no wait first, under the shard lock like a blocking
     // miss's read, so no other reader of the page can race the insert.
@@ -617,7 +471,6 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
       // hit) — matching the blocking path, where threads queued on the
       // shard mutex during the fetch hit the fresh frame.
       CountMiss();
-      if (outcome->prefetch_claim) CountPrefetchHit();
       result = EvictIfFull(shard);
       if (result.ok()) {
         shard.policy->OnInsert(id);
@@ -633,7 +486,7 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
     }
   }
   for (const Waker& w : waiters) w();
-  if (issue) IssueDemandFetch(id);
+  if (issue) IssueFetch(id);
   if (!served) {
     outcome->parked = true;
     return Status::OK();
@@ -641,43 +494,19 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
   return result;
 }
 
-void BufferManager::DrainPrefetches() {
-  size_t dropped = 0;
+void BufferManager::SettleStaged() {
   std::vector<Waker> waiters;
   {
-    std::unique_lock<std::mutex> lock(prefetch_.mu);
-    prefetch_.cv.wait(lock, [&] { return prefetch_.inflight == 0; });
-    for (auto& [id, entry] : prefetch_.entries) {
-      // Only speculation counts as waste; dropped demand entries were
-      // never issued/hit/wasted-accounted. Waiters (none in steady state
-      // — completions fire them — but possible on teardown races) are
-      // woken so no task sleeps forever.
-      if (!entry.demand) ++dropped;
+    std::unique_lock<std::mutex> lock(staging_.mu);
+    staging_.cv.wait(lock, [&] { return staging_.inflight == 0; });
+    // Waiters (none in steady state — completions fire them — but possible
+    // on teardown races) are woken so no task sleeps forever.
+    for (auto& [id, entry] : staging_.entries) {
       for (Waker& waker : entry.waiters) waiters.push_back(std::move(waker));
     }
-    prefetch_.entries.clear();
+    staging_.entries.clear();
   }
-  for (size_t i = 0; i < dropped; ++i) CountPrefetchWasted();
   for (const Waker& waker : waiters) waker();
-}
-
-void BufferManager::set_prefetch_capacity(size_t pages) {
-  std::lock_guard<std::mutex> lock(prefetch_.mu);
-  prefetch_.capacity = pages;
-}
-
-size_t BufferManager::prefetch_inflight() const {
-  std::lock_guard<std::mutex> lock(prefetch_.mu);
-  return prefetch_.inflight;
-}
-
-size_t BufferManager::prefetch_staged() const {
-  std::lock_guard<std::mutex> lock(prefetch_.mu);
-  return prefetch_.entries.size() - prefetch_.inflight;
-}
-
-uint64_t BufferManager::prefetch_inflight_peak() const {
-  return prefetch_inflight_peak_.load(std::memory_order_relaxed);
 }
 
 Result<PageId> BufferManager::Allocate() { return storage_->Allocate(); }
@@ -692,27 +521,24 @@ Status BufferManager::Free(PageId id) {
       shard.frames.erase(it);
     }
   }
-  if (prefetch_active_.load(std::memory_order_relaxed)) {
-    // A freed page's speculative read must never be claimed: drop a staged
-    // copy, abandon an in-flight one (its completion becomes waste and
-    // wakes any parked tasks, which re-issue and surface the freed-page
-    // error through the normal fetch path).
-    bool wasted = false;
+  if (staging_used_.load(std::memory_order_relaxed)) {
+    // A freed page's staged read must never be claimed: drop a landed
+    // copy, abandon an in-flight one (its completion is dropped and wakes
+    // any parked tasks, which re-issue and surface the freed-page error
+    // through the normal fetch path).
     std::vector<Waker> waiters;
     {
-      std::lock_guard<std::mutex> lock(prefetch_.mu);
-      auto it = prefetch_.entries.find(id);
-      if (it != prefetch_.entries.end()) {
+      std::lock_guard<std::mutex> lock(staging_.mu);
+      auto it = staging_.entries.find(id);
+      if (it != staging_.entries.end()) {
         if (it->second.ready) {
-          wasted = !it->second.demand;
           waiters = std::move(it->second.waiters);
-          prefetch_.entries.erase(it);
+          staging_.entries.erase(it);
         } else {
           it->second.abandoned = true;
         }
       }
     }
-    if (wasted) CountPrefetchWasted();
     for (const Waker& waker : waiters) waker();
   }
   return storage_->Free(id);
@@ -762,28 +588,26 @@ Status BufferManager::FlushAndClear() {
     for (const auto& [id, frame] : shard->frames) shard->policy->OnErase(id);
     shard->frames.clear();
   }
-  if (prefetch_active_.load(std::memory_order_relaxed)) {
-    // Cold cache means cold speculation too: drop staged pages, abandon
-    // in-flight ones (without waiting — their completions become waste).
-    size_t dropped = 0;
+  if (staging_used_.load(std::memory_order_relaxed)) {
+    // Cold cache means an empty staging area too: drop landed pages,
+    // abandon in-flight fetches (without waiting — their completions are
+    // dropped).
     std::vector<Waker> waiters;
     {
-      std::lock_guard<std::mutex> lock(prefetch_.mu);
-      for (auto it = prefetch_.entries.begin();
-           it != prefetch_.entries.end();) {
+      std::lock_guard<std::mutex> lock(staging_.mu);
+      for (auto it = staging_.entries.begin();
+           it != staging_.entries.end();) {
         if (it->second.ready) {
-          if (!it->second.demand) ++dropped;
           for (Waker& waker : it->second.waiters) {
             waiters.push_back(std::move(waker));
           }
-          it = prefetch_.entries.erase(it);
+          it = staging_.entries.erase(it);
         } else {
           it->second.abandoned = true;
           ++it;
         }
       }
     }
-    for (size_t i = 0; i < dropped; ++i) CountPrefetchWasted();
     for (const Waker& waker : waiters) waker();
   }
   return Status::OK();
@@ -804,9 +628,6 @@ BufferStats BufferManager::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.writebacks = writebacks_.load(std::memory_order_relaxed);
-  s.prefetch_issued = prefetch_issued_.load(std::memory_order_relaxed);
-  s.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  s.prefetch_wasted = prefetch_wasted_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -837,10 +658,6 @@ void BufferManager::ResetStats() {
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
   writebacks_.store(0, std::memory_order_relaxed);
-  prefetch_issued_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_wasted_.store(0, std::memory_order_relaxed);
-  prefetch_inflight_peak_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace kcpq

@@ -40,45 +40,47 @@
 // single-threaded buffer byte for byte — same policy decisions, same
 // eviction order.
 //
-// Speculative prefetch (docs/io.md): Prefetch() stages pages read through
-// the storage manager's async path (ReadPagesAsync) in a side table — the
-// prefetch area — that is deliberately *not* the frame table. A demand
-// miss first consults the area: a staged page is claimed (moved into the
-// frame table through the normal eviction path), an in-flight one is
-// awaited, anything else falls back to the synchronous read. Because the
-// frame table and replacement policy only ever see the demand-driven
-// access history, hits/misses/evictions — the paper's cost metric — are
-// bit-identical with prefetch on or off; speculation can only convert
-// wait time into overlap. Duplicate prefetches of a page coalesce on the
-// area; a bounded capacity caps staged+in-flight pages. Failed
-// speculative reads are discarded (counted wasted) and the demand read
-// retries through the full decorator stack, so faults behave exactly as
-// they do without prefetch.
-//
 // Non-blocking reads (docs/io.md, "completion-driven scheduling"):
 // TryRead is the query state machines' Read. A resident page is served
-// exactly like a blocking hit; a non-resident one either claims a staged
-// (speculative or demand) copy — counted exactly like a blocking miss,
-// inserted through the same eviction path so the replacement policy sees
-// the same history — or *parks*: the caller's waker is registered on the
-// page's in-flight entry (starting a demand fetch through ReadPagesAsync
-// if none exists) and TryRead returns immediately with outcome.parked.
-// Before a demand fetch starts, the storage is asked for the page without
-// waiting (StorageManager::TryReadPageNow); a page the OS page cache
-// already holds is then served at once, as a counted miss, with no park.
-// When the fetch completes, the buffer fires the waker and the caller
-// re-runs TryRead; the first re-runner claims the page and counts the
-// miss, later ones find it resident and count hits — the same
-// one-miss-per-residency (or, at capacity 0, one-miss-per-read) invariant
-// the blocking path's fetch-under-shard-lock provides. Demand entries
-// share the prefetch area's machinery but are exempt from its capacity
-// cap and invisible to the speculation counters (never issued / hit /
-// wasted). A TryRead with an empty waker is a plain Read that reports its
-// outcome: the query drives itself inline and has nothing to park on.
-// Demand fetches carry no QueryContext (async completions are
-// context-free by the storage contract), so deadline-aware retry
-// abandonment doesn't apply to them; a failed fetch is delivered to the
-// first claimer as its read's error, and later waiters re-issue fresh.
+// exactly like a blocking hit. For a non-resident one the storage is first
+// asked for the page without waiting (StorageManager::TryReadPageNow); a
+// page the OS page cache already holds is served at once, as a counted
+// miss, with no park. Otherwise the caller *parks*: its waker is
+// registered on the page's in-flight demand fetch (starting one through
+// ReadPagesAsync if none exists) and TryRead returns with outcome.parked.
+// In-flight fetches and their landed pages live in the staging area, a
+// side table that is deliberately not the frame table: the replacement
+// policy sees a page only once a reader claims it. When the fetch
+// completes, the buffer fires the wakers and the callers re-run TryRead;
+// the first re-runner claims the page (inserted through the normal
+// eviction path) and counts the miss, later ones find it resident and
+// count hits — the same one-miss-per-residency (or, at capacity 0,
+// one-miss-per-read) invariant the blocking path's fetch-under-shard-lock
+// provides. A TryRead with an empty waker is a plain Read that reports its
+// outcome: the query drives itself inline and has nothing to park on. A
+// synchronous miss still claims a staged page, or waits out an in-flight
+// one, before it reads storage itself, so a page another query parked on
+// is not fetched twice. Demand fetches carry no QueryContext (async
+// completions are context-free by the storage contract), so
+// deadline-aware retry abandonment doesn't apply to them; a failed fetch
+// is delivered to the first TryRead claimer as its read's error (a
+// synchronous claimer retries through storage instead), and later waiters
+// re-issue fresh.
+//
+// Staging invariant (tests/staging_test.cc stresses it):
+//   1. Lock order: a shard mutex may be held when taking the staging
+//      mutex, never the reverse. Completion callbacks take only the
+//      staging mutex.
+//   2. Whoever registers an in-flight entry submits its read after
+//      releasing every lock, taking no shard lock in between. A
+//      synchronous reader may therefore wait for the entry while it holds
+//      the page's shard lock: neither the submission nor the completion
+//      it waits for needs that lock.
+//   3. At capacity > 0, a fetch of page p (synchronous, no-wait or
+//      in-flight) starts only under p's shard lock, when p has neither a
+//      frame nor a staged entry, and an entry becomes a frame only under
+//      that lock. So there is one storage read per residency however many
+//      readers park on or wait out the fetch, and they all see its bytes.
 //
 // Statistics: the global counters (stats()) are atomics, exact under any
 // concurrency. Per-query cost accounting needs per-*thread* counts — two
@@ -87,10 +89,11 @@
 // thread-local table keyed by buffer instance; ThreadStats() returns the
 // calling thread's view, and the ε-join and multiway engines compute
 // their disk-access deltas from it (the CPQ, HS and Semi-CPQ state
-// machines count their own reads from TryReadOutcome instead). The per-thread tables register themselves in a global
-// registry and fold their counts into a retired pool when their thread
-// exits, so AggregateStats() — the sum over all threads, living and dead —
-// never undercounts a batch whose workers finished before collection.
+// machines count their own reads from TryReadOutcome instead). The
+// per-thread tables register themselves in a global registry and fold
+// their counts into a retired pool when their thread exits, so
+// AggregateStats() — the sum over all threads, living and dead — never
+// undercounts a batch whose workers finished before collection.
 // Every hit/miss/eviction also feeds the process-wide metrics registry
 // (obs/kcpq_metrics.h: kcpq_buffer_*_total).
 
@@ -118,20 +121,14 @@ namespace internal {
 struct BufferTlsCounters;  // buffer_manager.cc
 }  // namespace internal
 
-/// Hit/miss accounting snapshot. `misses` equals the *demand* physical
-/// reads this buffer caused — the paper's disk-access metric, unchanged by
-/// speculation; `logical_reads = hits + misses`. The prefetch counters
-/// account the speculative side channel separately and obey the identity
-/// `prefetch_issued == prefetch_hits + prefetch_wasted + pending`, where
-/// pending (in-flight + staged-unclaimed) is zero after DrainPrefetches.
+/// Hit/miss accounting snapshot. `misses` equals the physical reads this
+/// buffer caused — the paper's disk-access metric; `logical_reads = hits +
+/// misses`.
 struct BufferStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t writebacks = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
 
   uint64_t logical_reads() const { return hits + misses; }
   void Reset() { *this = BufferStats{}; }
@@ -190,21 +187,18 @@ class BufferManager {
 
   /// How a TryRead attempt was resolved. Exactly one of three shapes:
   /// parked (no page, no counting yet), served hit (`hit`), or served
-  /// miss (`!parked && !hit`; `prefetch_claim` marks a miss satisfied by
-  /// a claimed *speculative* page, the resumable analog of a blocking
-  /// read's prefetch hit; `nowait` a miss the storage served at once,
-  /// without a park).
+  /// miss (`!parked && !hit`; `nowait` marks a miss the storage served at
+  /// once, without a park).
   struct TryReadOutcome {
     bool parked = false;
     bool hit = false;
-    bool prefetch_claim = false;
     bool nowait = false;
   };
 
   /// Non-blocking Read for resumable engines ("park on miss, wake on
   /// completion" — see the file comment). Serves the page when it is
-  /// resident or staged, or when no fetch of it is staged or in flight
-  /// and the storage can read it without waiting
+  /// resident or staged, or when no fetch of it is in flight and the
+  /// storage can read it without waiting
   /// (StorageManager::TryReadPageNow: a page-cache hit on a file store;
   /// the miss is counted and inserted exactly like a blocking miss).
   /// Otherwise registers `waker` with the page's in-flight fetch
@@ -218,7 +212,7 @@ class BufferManager {
   /// OnInsert/OnAccess history. An empty `waker` never parks: the read
   /// is Read's synchronous fetch (claiming or waiting out a staged page,
   /// with the io_wait trace span and `ctx` handed to storage), and the
-  /// outcome still tells hit, miss and speculative claim apart.
+  /// outcome still tells hit and miss apart.
   Status TryRead(PageId id, Page* out, QueryContext* ctx, const Waker& waker,
                  TryReadOutcome* outcome);
 
@@ -227,33 +221,12 @@ class BufferManager {
                       QueryContext* ctx, const Waker& waker,
                       TryReadOutcome* outcome);
 
-  /// Speculatively reads `count` pages through the storage manager's async
-  /// path into the prefetch area. Pages already resident, already staged,
-  /// or beyond the area's capacity are skipped (duplicates coalesce);
-  /// returns how many reads were actually issued. When `ctx` is given,
-  /// each issued page is charged to the query's ResourceAccountant at
-  /// issue time (speculation is not free under governance; the charge
-  /// dedups with a later demand read of the same page). Never blocks on
-  /// I/O and never fails: a failed speculative read is absorbed as waste.
-  size_t Prefetch(const PageId* ids, size_t count, QueryContext* ctx = nullptr);
-
-  /// Settles all speculation: waits for in-flight prefetch reads to
-  /// complete, then discards staged-but-unclaimed pages (counting them
-  /// wasted). Afterwards `prefetch_issued == prefetch_hits +
-  /// prefetch_wasted` exactly. Called by the destructor; call it before
-  /// reading final stats.
-  void DrainPrefetches();
-
-  /// Caps staged + in-flight prefetched pages (default 128). Issue
-  /// requests beyond the cap are dropped, not queued.
-  void set_prefetch_capacity(size_t pages);
-
-  /// In-flight speculative reads (issued, not yet completed).
-  size_t prefetch_inflight() const;
-  /// Completed speculative reads staged but not yet claimed or discarded.
-  size_t prefetch_staged() const;
-  /// High-water mark of prefetch_inflight over the buffer's lifetime.
-  uint64_t prefetch_inflight_peak() const;
+  /// Settles the staging area: waits for in-flight demand fetches to
+  /// complete, then drops the pages no reader claimed, waking any task
+  /// still parked on them. A scheduled query stopped while parked can
+  /// leave its page staged; a later read after this call fetches afresh.
+  /// Called by the destructor and after each scheduled batch run.
+  void SettleStaged();
 
   /// Writes `page` to `id` (cached, write-back). Pass-through writes
   /// directly when capacity is 0.
@@ -323,7 +296,7 @@ class BufferManager {
   Status DeliverPassThrough(Page page, const ReadSink& sink);
 
   /// The synchronous read: a miss fetches under the shard lock. Reports
-  /// a hit or a speculative claim in `*outcome` (never `parked`).
+  /// a hit in `*outcome` (never `parked`).
   Status ReadInto(PageId id, QueryContext* ctx, const ReadSink& sink,
                   TryReadOutcome* outcome);
   Status TryReadInto(PageId id, QueryContext* ctx, const Waker& waker,
@@ -336,41 +309,27 @@ class BufferManager {
     size_t capacity = 0;
   };
 
-  /// One staged read's life in the prefetch area: in-flight (!ready),
-  /// then either staged (ready, awaiting a claim) or gone (claimed /
-  /// wasted / failed). `abandoned` marks an in-flight entry whose result
-  /// is unwanted (Free / FlushAndClear); its completion is discarded as
-  /// waste. `demand` marks a fetch started by a parked TryRead rather
-  /// than speculation: exempt from the area capacity, excluded from the
-  /// prefetch counters, and allowed to complete with an error (`status`),
-  /// which the first claimer takes as its read's result. `issuer` is the
-  /// query charged for a speculative page at issue time; a claim by a
-  /// different query releases that charge (ResourceAccountant). `waiters`
-  /// are parked resumable tasks, fired (outside the area lock) when the
-  /// entry becomes ready or is erased.
-  struct PrefetchEntry {
+  /// One demand fetch's life in the staging area: in flight (!ready),
+  /// then staged (ready: the page, or the error the fetch failed with,
+  /// awaiting its first claimer), then gone. `abandoned` marks an
+  /// in-flight entry whose result is unwanted (Free / FlushAndClear); its
+  /// completion is dropped. `waiters` are parked tasks, fired (outside the
+  /// staging lock) when the entry becomes ready or is erased.
+  struct StagedRead {
     bool ready = false;
     bool abandoned = false;
-    bool demand = false;
     Status status;
     Page page;
-    QueryContext* issuer = nullptr;
     std::vector<Waker> waiters;
   };
 
-  /// Staging table for speculative reads, separate from the frame table so
-  /// the replacement policy never observes speculation. Lock order: a
-  /// shard mutex may be held when taking `mu`; never the reverse.
-  /// Completion callbacks take only `mu`, and whoever registers an
-  /// in-flight entry submits its read without taking a shard lock first,
-  /// so a claimer may wait on `cv` while holding its shard lock without
-  /// deadlock.
-  struct PrefetchArea {
+  /// The staging area (see the file comment for its invariant): separate
+  /// from the frame table so the replacement policy sees only claims.
+  struct StagingArea {
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::unordered_map<PageId, PrefetchEntry> entries;
+    std::unordered_map<PageId, StagedRead> entries;
     size_t inflight = 0;
-    size_t capacity = 128;
   };
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
@@ -379,31 +338,20 @@ class BufferManager {
   /// write-back) if full. Caller holds shard.mu.
   Status EvictIfFull(Shard& shard);
 
-  /// Demand-miss hook: claims `id` from the prefetch area (waiting out an
-  /// in-flight read) into `*out`. False when the page is not there or its
-  /// speculative read failed — caller falls back to the synchronous path.
-  /// Sets `*speculative_claim` when the claimed page was speculation's.
-  bool ClaimPrefetched(PageId id, Page* out, QueryContext* ctx,
-                       bool* speculative_claim);
+  /// Synchronous-miss hook: claims `id` from the staging area (waiting
+  /// out an in-flight fetch) into `*out`. False when the page is not
+  /// there or its fetch failed — the caller then reads storage itself.
+  bool ClaimStaged(PageId id, Page* out);
 
-  /// Async-read completion (runs on I/O threads; takes only prefetch mu).
-  void OnPrefetchComplete(AsyncPageRead done);
+  /// Async-read completion (runs on I/O threads; takes only staging mu).
+  void OnFetchComplete(AsyncPageRead done);
 
-  /// Creates an in-flight demand entry for `id` with `waker` parked on
-  /// it. Caller holds prefetch mu and has verified no entry exists; the
-  /// fetch itself must be issued after *all* locks are released
-  /// (IssueDemandFetch) because a kSync-backend completion runs inline
-  /// and takes prefetch mu.
-  void StartDemandFetchLocked(PageId id, const Waker& waker);
-  void IssueDemandFetch(PageId id);
-
-  /// Satellite accounting: a staged page claimed by a different query
-  /// than the one that paid for it at issue time credits the issuer back.
-  void ReleaseIssuerLocked(const PrefetchEntry& entry, QueryContext* claimer);
-
-  void CountPrefetchIssued();
-  void CountPrefetchHit();
-  void CountPrefetchWasted();
+  /// Creates an in-flight entry for `id` with `waker` parked on it.
+  /// Caller holds staging mu and has verified no entry exists; the fetch
+  /// itself must be issued after *all* locks are released (IssueFetch)
+  /// because a kSync-backend completion runs inline and takes staging mu.
+  void StartFetchLocked(PageId id, const Waker& waker);
+  void IssueFetch(PageId id);
 
   /// This thread's stats slot for this buffer instance.
   internal::BufferTlsCounters& Tls() const;
@@ -425,16 +373,11 @@ class BufferManager {
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> writebacks_{0};
 
-  PrefetchArea prefetch_;
-  /// Set once by the first Prefetch call; the demand-read hot path checks
-  /// it (one relaxed load) before touching the area, so a prefetch-free
-  /// run never takes the area lock and stays bit-identical in behavior
-  /// *and* cost to a build without this feature.
-  std::atomic<bool> prefetch_active_{false};
-  std::atomic<uint64_t> prefetch_issued_{0};
-  std::atomic<uint64_t> prefetch_hits_{0};
-  std::atomic<uint64_t> prefetch_wasted_{0};
-  std::atomic<uint64_t> prefetch_inflight_peak_{0};
+  StagingArea staging_;
+  /// Set by the first demand fetch; until then the synchronous miss path
+  /// skips the staging area (one relaxed load), so a buffer no scheduled
+  /// query reads never takes the staging lock.
+  std::atomic<bool> staging_used_{false};
 };
 
 }  // namespace kcpq

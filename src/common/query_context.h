@@ -77,24 +77,8 @@ class ResourceAccountant {
     }
   }
 
-  /// Credits back a page this query paid for but another query consumed:
-  /// when a speculatively staged page is claimed by a *different* query,
-  /// the buffer releases the issuer's charge so its footprint reflects
-  /// pages it actually holds. The one accountant entry point that is
-  /// thread-safe — the claim happens on the claiming query's thread while
-  /// the issuer may be mid-poll on its own. Releases are a net credit:
-  /// the page stays in the issuer's distinct-page set, so a later re-read
-  /// is not re-charged (peaks already recorded are unaffected).
-  void ReleaseForeignBufferBytes(uint64_t bytes) {
-    foreign_released_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
   uint64_t engine_bytes() const { return engine_bytes_; }
-  uint64_t buffer_bytes() const {
-    const uint64_t released =
-        foreign_released_bytes_.load(std::memory_order_relaxed);
-    return released >= buffer_bytes_ ? 0 : buffer_bytes_ - released;
-  }
+  uint64_t buffer_bytes() const { return buffer_bytes_; }
   uint64_t distinct_pages() const { return distinct_pages_; }
   /// Current unified footprint: engine + buffer bytes.
   uint64_t total_bytes() const { return engine_bytes_ + buffer_bytes(); }
@@ -111,9 +95,6 @@ class ResourceAccountant {
 
   uint64_t engine_bytes_ = 0;
   uint64_t buffer_bytes_ = 0;
-  /// Pages surrendered to other queries (see ReleaseForeignBufferBytes);
-  /// atomic because the claiming query's thread writes it.
-  std::atomic<uint64_t> foreign_released_bytes_{0};
   uint64_t distinct_pages_ = 0;
   uint64_t peak_engine_bytes_ = 0;
   uint64_t peak_total_bytes_ = 0;

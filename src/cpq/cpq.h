@@ -108,8 +108,8 @@ struct CpqOptions {
   /// Query family (cpq/objective.h). kClosest is the paper's problem and
   /// the default; kFarthest reports the K pairs in *descending* distance;
   /// kRangeClosest restricts eligibility to pairs whose points both lie in
-  /// `query_rect`. All five algorithms, both schedulers, prefetch, and the
-  /// anytime certificates work for every family.
+  /// `query_rect`. All five algorithms, both schedulers and the anytime
+  /// certificates work for every family.
   QueryFamily family = QueryFamily::kClosest;
 
   /// The kRangeClosest query rectangle; ignored by the other families.
@@ -141,16 +141,6 @@ struct CpqOptions {
   /// returns the same distance multiset as the nested loop for every
   /// algorithm and metric (tests/parallel_test.cc locks this in).
   LeafKernel leaf_kernel = LeafKernel::kPlaneSweep;
-
-  /// Speculative prefetch window W: at each expansion the engine issues
-  /// asynchronous reads for the pages of the W best not-yet-read node
-  /// pairs of its frontier (the kHeap priority queue; the sorted child
-  /// list for the recursive algorithms). 0 disables speculation — the
-  /// default, and results, disk-access counts, and traversal order are
-  /// bit-identical for every W (prefetched pages are staged outside the
-  /// buffer's frame table; docs/io.md). Speculation only changes
-  /// wall-clock, and is charged to the query's ResourceAccountant.
-  size_t prefetch_window = 0;
 
   /// Lifecycle limits (deadline / budgets / cancellation). Default is
   /// unlimited. When a limit trips mid-query the engine returns OK with a
@@ -197,12 +187,6 @@ struct CpqStats {
   /// QueryControl::max_node_accesses limits. Unlike disk accesses it is
   /// independent of buffer state, so budget stops are deterministic.
   uint64_t node_accesses = 0;
-  /// Speculative reads issued / claimed by this query (both trees
-  /// combined; zero with prefetch_window = 0). Wasted speculation is a
-  /// buffer-level quantity — completions land on I/O threads — and is
-  /// reported by BufferManager::stats() as issued - hits after a drain.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
   /// Scheduler-driven execution only (zero when the query runs inline):
   /// how many times the query parked on a non-resident page and the total
   /// wall time it spent parked. Parked time is scheduler wait, not work —

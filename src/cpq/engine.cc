@@ -458,12 +458,12 @@ void CpqEngine::TightenBoundFromCandidates(
   }
 }
 
-size_t CpqEngine::ExpandRecursive(const NodeRef& ref_p,
-                                  const NodeImage& node_p,
-                                  const NodeRef& ref_q,
-                                  const NodeImage& node_q,
-                                  DescendChoice choice,
-                                  std::vector<Candidate>* candidates) {
+void CpqEngine::ExpandRecursive(const NodeRef& ref_p,
+                                const NodeImage& node_p,
+                                const NodeRef& ref_q,
+                                const NodeImage& node_q,
+                                DescendChoice choice,
+                                std::vector<Candidate>* candidates) {
   GenerateCandidates(ref_p, node_p, ref_q, node_q, choice, candidates);
   if (TightensBound()) {
     TightenBoundFromCandidates(*candidates);
@@ -472,19 +472,6 @@ size_t CpqEngine::ExpandRecursive(const NodeRef& ref_p,
   if (options_.algorithm == CpqAlgorithm::kSortedDistances) {
     std::sort(candidates->begin(), candidates->end(), CandidateLess());
   }
-  if (!prefetch_.enabled() || candidates->empty()) return 0;
-  // Speculate on the first W surviving candidates — for STD this is the
-  // exact descend order; for the unsorted algorithms it is generation
-  // order, which is still the processing order of this frame.
-  prefetch_.Clear();
-  size_t added = 0;
-  for (const Candidate& cand : *candidates) {
-    if (added >= prefetch_.window()) break;
-    if (Prunes() && cand.key > bound_) continue;
-    prefetch_.Add(cand.key, cand.p.page, cand.q.page);
-    ++added;
-  }
-  return prefetch_.Issue();
 }
 
 void CpqEngine::ExpandHeap(const NodeRef& ref_p, const NodeImage& node_p,

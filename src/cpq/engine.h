@@ -17,7 +17,6 @@
 
 #include "cpq/cpq.h"
 #include "cpq/leaf_kernel.h"
-#include "cpq/prefetch.h"
 #include "cpq/result_heap.h"
 #include "cpq/tie.h"
 #include "rtree/rtree.h"
@@ -119,9 +118,8 @@ class CpqEngine {
 
   /// Expansion step of the recursive algorithms (kExhaustive / kSimple /
   /// kSortedDistances / kNaive): generates the pair's candidates, tightens
-  /// T, orders them (STD) and speculates on the first survivors. Returns
-  /// the number of speculative reads issued.
-  size_t ExpandRecursive(const NodeRef& ref_p, const NodeImage& node_p,
+  /// T and orders them (STD).
+  void ExpandRecursive(const NodeRef& ref_p, const NodeImage& node_p,
                          const NodeRef& ref_q, const NodeImage& node_q,
                          DescendChoice choice,
                          std::vector<Candidate>* candidates);
@@ -214,9 +212,6 @@ class CpqEngine {
   /// Sweep orders of the rect-eligible children (kRangeClosest only).
   std::vector<uint32_t> eligible_p_;
   std::vector<uint32_t> eligible_q_;
-  /// Speculative reads for the frontier's best pairs (disabled unless
-  /// options.prefetch_window > 0; see cpq/prefetch.h).
-  PrefetchScheduler prefetch_;
 
   // --- lifecycle control state ---
   /// The query's context: `options.context` when the caller provided one,

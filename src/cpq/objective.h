@@ -6,14 +6,13 @@
 // prune the ones that provably cannot beat the K-th best result, and stop
 // when the frontier proves optimality. Which bound, which direction, and
 // which pairs are eligible is the *objective*; everything else (descent,
-// heaps, prefetch, resumable state machines, certificates) is shared.
+// heaps, resumable state machines, certificates) is shared.
 //
 // The whole engine works in a single **key space**: every candidate and
 // result carries a `double key`, smaller = more promising, and all
 // machinery — candidate ordering, the pair min-heap, the CP5 cutoff, the
-// prune test `key > T`, prefetch pop-order selection, frontier folds, and
-// the per-rank certificate — is written against keys ascending. The
-// objective defines the mapping:
+// prune test `key > T`, frontier folds, and the per-rank certificate — is
+// written against keys ascending. The objective defines the mapping:
 //
 //   family        key of a node pair            key of a point pair
 //   ------------  ----------------------------  -------------------
@@ -22,12 +21,12 @@
 //   kRangeClosest MINMINDIST (power space)      distance (power)
 //
 // Negating MAXMAXDIST makes "ascending key" mean "descending farthest
-// bound", so the farthest-pairs query reuses the min-heap, the `key > T`
-// prune, and the ascending prefetch order unchanged. Soundness carries
-// over symmetrically: for closest pairs MINMINDIST lower-bounds every pair
-// distance beneath a node pair, hence (node key) <= (any pair key beneath
-// it); for farthest pairs MAXMAXDIST upper-bounds every pair distance, so
-// -MAXMAXDIST again satisfies (node key) <= (any pair key beneath it).
+// bound", so the farthest-pairs query reuses the min-heap and the `key > T`
+// prune unchanged. Soundness carries over symmetrically: for closest pairs
+// MINMINDIST lower-bounds every pair distance beneath a node pair, hence
+// (node key) <= (any pair key beneath it); for farthest pairs MAXMAXDIST
+// upper-bounds every pair distance, so -MAXMAXDIST again satisfies
+// (node key) <= (any pair key beneath it).
 // That single inequality is all the engine ever relies on.
 //
 // Only the edges dispatch on family: converting a key back to a distance,

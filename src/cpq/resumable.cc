@@ -63,25 +63,9 @@ ResumableTask::StepResult ResumableCpqQuery::Park(PageId page) {
 }
 
 ResumableTask::StepResult ResumableCpqQuery::Fail(Status s) {
-  DrainIfInline();
   final_status_ = std::move(s);
   phase_ = Phase::kDone;
   return StepResult::kDone;
-}
-
-void ResumableCpqQuery::DrainIfInline() {
-  // Waits out in-flight speculative reads and discards staged-but-unclaimed
-  // pages as waste, so the accounting identity holds at query end; the
-  // staged entries name this query's context as their issuer, which must
-  // not outlive it. (Concurrent queries sharing a buffer may drain each
-  // other's staged pages: results are unaffected, the victims just fall
-  // back to synchronous reads.)
-  CpqEngine& e = engine_;
-  if (waker_ || !e.prefetch_.enabled()) return;
-  e.tree_p_.buffer()->DrainPrefetches();
-  if (e.tree_q_.buffer() != e.tree_p_.buffer()) {
-    e.tree_q_.buffer()->DrainPrefetches();
-  }
 }
 
 void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
@@ -97,7 +81,6 @@ void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
   } else {
     ++misses_q_;
   }
-  if (outcome.prefetch_claim) ++prefetch_hits_;
   if (outcome.nowait) ++engine_.stats_->io_nowait_reads;
 }
 
@@ -109,9 +92,6 @@ bool ResumableCpqQuery::StartPhase() {
   if (options_.k == 0 || e.tree_p_.size() == 0 || e.tree_q_.size() == 0) {
     return false;
   }
-  e.prefetch_.Configure(e.tree_p_.buffer(), e.tree_q_.buffer(),
-                        options_.prefetch_window,
-                        e.accounting_ ? e.context_ : nullptr);
   root_level_ = PairLevel(e.tree_p_.height() - 1, e.tree_q_.height() - 1);
   if (e.profile_ != nullptr) e.profile_->Considered(root_level_, 1);
   if (e.ShouldStop(0)) {
@@ -282,40 +262,8 @@ void ResumableCpqQuery::HeapLoopPhase() {
   }
   e.stats_->max_heap_size =
       std::max<uint64_t>(e.stats_->max_heap_size, heap_.size());
-  if (e.prefetch_.enabled()) {
-    // Speculate on the frontier's best W pairs — including heap[0], the
-    // pair read next, so even a child pushed by the previous expansion
-    // (the best-first descent chain, where the next pop is brand new) has
-    // its reads in flight before they are demanded. The W smallest entries
-    // of a binary heap all live in the first 2^W - 1 array slots, so a
-    // bounded prefix scan finds the exact top-W for W <= 9 and a close
-    // approximation above (the claim path does not care which pages
-    // arrive). Selection uses the pop order itself (CandidateLess: with
-    // overlapping data most frontier keys tie at 0, and any other
-    // tie-break speculates on pairs the heap will not pop next); the rank
-    // is the scheduler key, so the nearest pops' pages complete first.
-    e.prefetch_.Clear();
-    const size_t scan = std::min<size_t>(heap_.size(), 512);
-    spec_order_.clear();
-    for (uint32_t i = 0; i < scan; ++i) {
-      if (heap_[i].key > e.bound_) continue;  // would be CP5-cut
-      spec_order_.push_back(i);
-    }
-    const size_t take = std::min(spec_order_.size(), e.prefetch_.window());
-    std::partial_sort(spec_order_.begin(),
-                      spec_order_.begin() + static_cast<ptrdiff_t>(take),
-                      spec_order_.end(), [this](uint32_t a, uint32_t b) {
-                        return CandidateLess()(heap_[a], heap_[b]);
-                      });
-    for (size_t r = 0; r < take; ++r) {
-      const Candidate& c = heap_[spec_order_[r]];
-      e.prefetch_.Add(static_cast<double>(r), c.p.page, c.q.page);
-    }
-    prefetch_issued_ += e.prefetch_.Issue();
-  }
   // Min-heap of node pairs by (key, tie chain): CP1-CP5 of Section 3.5,
-  // open-coded over a vector with std::push_heap / pop_heap so the
-  // speculation above can peek at the frontier without disturbing it.
+  // open-coded over a vector with std::push_heap / pop_heap.
   popped_ = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), CandidateGreater{});
   heap_.pop_back();
@@ -448,8 +396,8 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         if (rec_depth_ == rec_stack_.size()) rec_stack_.emplace_back();
         RecFrame& f = rec_stack_[rec_depth_++];
         f.next = 0;
-        prefetch_issued_ += e.ExpandRecursive(cur_p_, *node_p_, cur_q_,
-                                              *node_q_, choice, &f.candidates);
+        e.ExpandRecursive(cur_p_, *node_p_, cur_q_, *node_q_, choice,
+                          &f.candidates);
         f.frame_bytes = f.candidates.size() * sizeof(Candidate);
         e.candidate_bytes_ += f.frame_bytes;
         AdvanceRecursive();
@@ -485,12 +433,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
       }
       case Phase::kFinish: {
         CpqEngine& e = engine_;
-        DrainIfInline();
         e.stats_->disk_accesses_p = misses_p_;
         e.stats_->disk_accesses_q = misses_q_;
         e.stats_->node_accesses = e.node_accesses_;
-        e.stats_->prefetch_issued = prefetch_issued_;
-        e.stats_->prefetch_hits = prefetch_hits_;
         e.FinalizeQualityAndTrace();
         cpq_internal::FoldCpqMetrics(*e.stats_, Seconds(), options_.family);
         results_out_ = std::move(e.results_).Extract();

@@ -24,12 +24,10 @@
 // each read's TryReadOutcome (miss at claim), never from thread-local
 // buffer deltas, which mean nothing when many queries share a worker.
 //
-// Lifetime: the engine registers wakers and an issuer (QueryContext)
-// pointer with the BufferManager. Both may outlive a finished query
-// inside staged prefetch entries. An inline query drains the buffers
-// itself before it finishes; a scheduled one leaves that to its caller,
-// since a per-query drain would discard the sibling queries' staged
-// pages — the batch executor drains once after the whole scheduler run.
+// Lifetime: a scheduled query registers its waker with the
+// BufferManager's in-flight demand fetches. A query stopped while parked
+// can leave such an entry staged after it finishes; the batch executor
+// settles the buffers once after the whole scheduler run.
 
 #ifndef KCPQ_CPQ_RESUMABLE_H_
 #define KCPQ_CPQ_RESUMABLE_H_
@@ -49,10 +47,9 @@ namespace kcpq {
 class ResumableCpqQuery final : public ResumableTask {
  public:
   /// `stats` may be null. `options` is copied; `options.context` (if set)
-  /// and the trees must outlive the task *and* any buffer drain that
-  /// settles its speculation. A non-empty waker must be callable from I/O
-  /// completion threads until Step() has returned kDone; an empty one
-  /// drives the query inline (see the file comment).
+  /// and the trees must outlive the task. A non-empty waker must be
+  /// callable from I/O completion threads until Step() has returned kDone;
+  /// an empty one drives the query inline (see the file comment).
   ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                     CpqOptions options, CpqStats* stats, Waker waker);
   ~ResumableCpqQuery() override;
@@ -66,13 +63,13 @@ class ResumableCpqQuery final : public ResumableTask {
 
  private:
   enum class Phase {
-    kStart,       // stats reset, trivial-query checks, prefetch config
+    kStart,       // stats reset, trivial-query checks
     kReadRootP,   // root MBR of P (parks like any read)
     kReadRootQ,   // root MBR of Q
     kSeed,        // tie context + root pair; dispatch by algorithm
     kExpandCheck, // recursive algorithms: stop poll before the pair's reads
     kExpandRead,  // recursive algorithms: read pair, expand, descend
-    kHeapLoop,    // kHeap: prefetch, pop, CP5 / stop checks
+    kHeapLoop,    // kHeap: pop, CP5 / stop checks
     kHeapRead,    // kHeap: read the popped pair, expand, push
     kFinish,      // epilogue: per-query stats + quality certificate
     kDone,
@@ -103,11 +100,8 @@ class ResumableCpqQuery final : public ResumableTask {
   /// TryRead without a waker never parks).
   StepResult Park(PageId page);
   StepResult Fail(Status s);
-  /// An inline query settles its own speculation before it finishes.
-  void DrainIfInline();
 
-  /// Tallies one served read into the per-query miss / prefetch-hit
-  /// counters. A self-join's shared buffer counts each miss on both sides
+  /// Tallies one served read into the per-query miss counters. A self-join's shared buffer counts each miss on both sides
   /// (disk_accesses_p and _q both describe that one buffer).
   void CountRead(const BufferManager::TryReadOutcome& outcome, bool is_p);
 
@@ -145,7 +139,6 @@ class ResumableCpqQuery final : public ResumableTask {
   size_t rec_depth_ = 0;
   std::vector<cpq_internal::Candidate> heap_;
   std::vector<cpq_internal::Candidate> candidates_scratch_;
-  std::vector<uint32_t> spec_order_;
 
   /// Seconds since the first Step, or -1 when metrics timing is off.
   double Seconds() const;
@@ -157,8 +150,6 @@ class ResumableCpqQuery final : public ResumableTask {
   // Per-query I/O accounting from TryReadOutcome (see header comment).
   uint64_t misses_p_ = 0;
   uint64_t misses_q_ = 0;
-  uint64_t prefetch_hits_ = 0;
-  uint64_t prefetch_issued_ = 0;
 
   // Park bookkeeping: resume time minus park time is the io_park span.
   bool park_pending_ = false;

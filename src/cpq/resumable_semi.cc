@@ -65,7 +65,6 @@ void ResumableSemiQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
   } else {
     ++misses_q_;
   }
-  if (outcome.prefetch_claim) ++prefetch_hits_;
   if (outcome.nowait) ++stats_->io_nowait_reads;
 }
 
@@ -95,7 +94,6 @@ void ResumableSemiQuery::FinishPhase() {
   stats_->disk_accesses_p = misses_p_;
   stats_->disk_accesses_q = misses_q_;
   stats_->node_accesses = node_accesses_;
-  stats_->prefetch_hits = prefetch_hits_;
   stats_->quality.stop_cause = stop_;
   stats_->quality.pairs_found = out_.size();
   if (stop_ != StopCause::kNone) {

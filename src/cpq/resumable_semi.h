@@ -31,8 +31,7 @@ namespace kcpq {
 /// One semi-join (all-nearest-neighbor) execution. Construct, Step until
 /// kDone (re-Stepping only after the waker fires when parked), read
 /// status()/TakeResults(), discard. Same lifetime rules as
-/// ResumableCpqQuery: trees, context, and waker must outlive the task and
-/// any buffer drain that settles staged pages.
+/// ResumableCpqQuery: trees, context, and waker must outlive the task.
 class ResumableSemiQuery final : public ResumableTask {
  public:
   /// `stats` may be null; an external `context` supersedes `control`. An
@@ -112,7 +111,6 @@ class ResumableSemiQuery final : public ResumableTask {
   uint64_t node_accesses_ = 0;
   uint64_t misses_p_ = 0;
   uint64_t misses_q_ = 0;
-  uint64_t prefetch_hits_ = 0;
   StopCause stop_ = StopCause::kNone;
 
   // Park bookkeeping, identical to ResumableCpqQuery.

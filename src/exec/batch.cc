@@ -127,8 +127,6 @@ void MapHsStats(const HsStats& hs, CpqStats* out) {
   out->disk_accesses_p = hs.disk_accesses_p;
   out->disk_accesses_q = hs.disk_accesses_q;
   out->node_accesses = hs.node_accesses;
-  out->prefetch_issued = hs.prefetch_issued;
-  out->prefetch_hits = hs.prefetch_hits;
   out->io_parks = hs.io_parks;
   out->io_parked_ns = hs.io_parked_ns;
   out->io_nowait_reads = hs.io_nowait_reads;
@@ -138,13 +136,11 @@ void MapHsStats(const HsStats& hs, CpqStats* out) {
 /// The HsOptions a kHsClosestPairs batch query maps to (k_bound is set by
 /// the ResumableHsQuery constructor from options.k).
 HsOptions HsOptionsFrom(const CpqOptions& cpq, const QueryControl& merged,
-                        QueryContext* ctx, size_t batch_prefetch_window) {
+                        QueryContext* ctx) {
   HsOptions hs;
   hs.family = cpq.family;
   hs.query_rect = cpq.query_rect;
   hs.leaf_kernel = cpq.leaf_kernel;
-  hs.prefetch_window =
-      cpq.prefetch_window != 0 ? cpq.prefetch_window : batch_prefetch_window;
   hs.control = merged;
   hs.context = ctx;
   return hs;
@@ -237,9 +233,7 @@ void RunBatch(const RStarTree& tree_p, const RStarTree& tree_q,
   const SchedulerMode mode = options.scheduler;
   const char* const mode_name =
       mode == SchedulerMode::kResumable ? "resumable" : "blocking";
-  // Per-query state that must outlive the task: under the scheduler,
-  // contexts are registered as issuers of staged prefetch entries, so they
-  // may only be destroyed after the post-run buffer drains below.
+  // Per-query state that must outlive the task.
   struct Slot {
     std::unique_ptr<QueryContext> ctx;
     HsStats hs_stats;  // kHsClosestPairs only; mapped into CpqStats on done
@@ -292,9 +286,6 @@ void RunBatch(const RStarTree& tree_p, const RStarTree& tree_q,
         CpqOptions o = queries[i].options;
         o.control = merged;
         o.context = slot.ctx.get();
-        if (o.prefetch_window == 0) {
-          o.prefetch_window = options.prefetch_window;
-        }
         const bool self = queries[i].kind == BatchQueryKind::kSelfClosestPairs;
         if (self) o.self_join = true;
         return std::make_unique<ResumableCpqQuery>(
@@ -302,8 +293,8 @@ void RunBatch(const RStarTree& tree_p, const RStarTree& tree_q,
             std::move(waker));
       }
       case BatchQueryKind::kHsClosestPairs: {
-        HsOptions hs = HsOptionsFrom(queries[i].options, merged,
-                                     slot.ctx.get(), options.prefetch_window);
+        HsOptions hs =
+            HsOptionsFrom(queries[i].options, merged, slot.ctx.get());
         return std::make_unique<ResumableHsQuery>(
             tree_p, tree_q, queries[i].options.k, std::move(hs),
             &slot.hs_stats, std::move(waker));
@@ -374,7 +365,6 @@ void RunBatch(const RStarTree& tree_p, const RStarTree& tree_q,
       if (task == nullptr) return;
       task->Step();  // no waker: one Step runs the task to completion
       on_done(i, task.get());
-      // The task settled its own speculation, so its context can go now.
       task.reset();
       slots[i] = Slot{};
     };
@@ -404,11 +394,11 @@ void RunBatch(const RStarTree& tree_p, const RStarTree& tree_q,
   }
   ResumableScheduler::Run(queries.size(), factory, on_done, sched);
 
-  // Settle leftover speculation (and any staged demand entries) while the
-  // contexts registered as their issuers are still alive; `slots` may only
-  // be destroyed after this.
-  tree_p.buffer()->DrainPrefetches();
-  if (tree_q.buffer() != tree_p.buffer()) tree_q.buffer()->DrainPrefetches();
+  // A query stopped while parked can leave its demand fetch staged. Settle
+  // the buffers so no stale page outlives the run: at capacity 0 a later
+  // Write would otherwise leave the old bytes there to be claimed.
+  tree_p.buffer()->SettleStaged();
+  if (tree_q.buffer() != tree_p.buffer()) tree_q.buffer()->SettleStaged();
 }
 
 }  // namespace

@@ -40,11 +40,10 @@ enum class BatchQueryKind {
   kSemiClosestPairs,
   /// HsKClosestPairs(tree_p, tree_q, options.k): the incremental distance
   /// join with default traversal. Reuses the CpqOptions fields that make
-  /// sense for HS (k, family, query_rect, control, context,
-  /// prefetch_window, leaf_kernel);
+  /// sense for HS (k, family, query_rect, control, context, leaf_kernel);
   /// algorithm / tie-breaking fields are ignored. HsStats are mapped into
   /// CpqStats (items_popped -> node_pairs_processed, max_queue_size ->
-  /// max_heap_size; disk / node / prefetch / park counters carry over).
+  /// max_heap_size; disk / node / park counters carry over).
   kHsClosestPairs,
 };
 
@@ -133,12 +132,6 @@ struct BatchOptions {
   /// query; kEnforce sheds over-budget queries with ResourceExhausted
   /// *before* they touch storage. A rejection never trips fail-fast.
   AdmissionOptions admission;
-
-  /// Batch-wide speculative prefetch window, applied to every query whose
-  /// own CpqOptions::prefetch_window is 0 (a query's explicit nonzero
-  /// window wins). Per-query results and stats stay bit-identical for any
-  /// value; only wall-clock changes. 0 = speculation off (default).
-  size_t prefetch_window = 0;
 
   /// Execution model; see SchedulerMode. Results are identical either way.
   SchedulerMode scheduler = SchedulerMode::kBlocking;

@@ -89,9 +89,10 @@ class ResumableScheduler {
 
   /// Runs `count` tasks to completion and returns the run's counters.
   /// Blocks the calling thread. The tasks (and any wakers they registered
-  /// with a BufferManager) are destroyed before Run returns, so the caller
-  /// must drain the buffers *after* Run only to settle speculation
-  /// accounting — stale wakers fired by those drains are no-ops.
+  /// with a BufferManager) are destroyed before Run returns; the caller
+  /// settles the buffers after Run only to drop pages a stopped query
+  /// left staged (BufferManager::SettleStaged) — stale wakers fired by
+  /// that are no-ops.
   static Stats Run(size_t count, const TaskFactory& factory,
                    const DoneFn& on_done, const Options& options);
 };

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "cpq/leaf_kernel.h"
-#include "cpq/prefetch.h"
 #include "cpq/result_heap.h"
 #include "geometry/metrics.h"
 #include "hs/hybrid_queue.h"
@@ -52,8 +51,6 @@ class JoinImpl {
     stats_.quality.bound_is_upper = objective_.BoundIsUpper();
   }
 
-  ~JoinImpl() { DrainSpeculation(); }
-
   const HsStats& stats() const { return stats_; }
 
   enum class NextOutcome { kEmitted, kExhausted, kParked, kError };
@@ -89,13 +86,12 @@ class JoinImpl {
   int32_t TieLevelOf(const ItemSide& a, const ItemSide& b) const;
 
   /// Expands a node against the fixed `other` once the node is in hand:
-  /// enqueues the child pairs and speculates on the nearest ones.
-  /// `node_first` says which element of the pair the node is. Returns the
-  /// number of speculative reads issued.
-  size_t PushChildrenOneSide(const NodeImage& node, const ItemSide& other,
-                             bool node_first);
+  /// enqueues the child pairs. `node_first` says which element of the pair
+  /// the node is.
+  void PushChildrenOneSide(const NodeImage& node, const ItemSide& other,
+                           bool node_first);
   /// Expands both nodes of a pair at once (kSimultaneous).
-  size_t PushChildrenBoth(const NodeImage& node_a, const NodeImage& node_b);
+  void PushChildrenBoth(const NodeImage& node_a, const NodeImage& node_b);
 
   /// Reads the two roots (parking on a miss) and seeds the queue.
   TryOutcome TryStart(Status* error);
@@ -113,17 +109,9 @@ class JoinImpl {
   /// popped (or about-to-pop) queue key bounding everything unemitted.
   void LatchStop(StopCause cause, double key);
 
-  /// Copies the per-join I/O tallies (buffer misses, queue spills,
-  /// speculation) into stats_.
+  /// Copies the per-join I/O tallies (buffer misses, queue spills) into
+  /// stats_.
   void CaptureIoStats();
-
-  /// An inline join discards staged-but-unclaimed speculative pages so the
-  /// accounting identity (issued == hits + wasted) holds when it ends. A
-  /// scheduled join shares the buffers with the scheduler's other queries,
-  /// whose staged pages a per-query drain would discard: the batch
-  /// executor settles speculation once after the whole run. No-op unless
-  /// prefetch is enabled.
-  void DrainSpeculation();
 
   const RStarTree& tree_p_;
   const RStarTree& tree_q_;
@@ -138,9 +126,6 @@ class JoinImpl {
   /// every family, so the metric is pinned to kL2.
   QueryObjective objective_;
   BoundedKeyHeap<KBoundKey> k_bound_;
-  /// Speculative reads for the W nearest children of each expansion
-  /// (disabled unless options.prefetch_window > 0; see cpq/prefetch.h).
-  cpq_internal::PrefetchScheduler prefetch_;
   HsStats stats_;
   uint64_t next_seq_ = 0;
   uint64_t results_emitted_ = 0;
@@ -164,8 +149,6 @@ class JoinImpl {
   /// deltas are meaningless when many queries multiplex one worker).
   uint64_t misses_p_ = 0;
   uint64_t misses_q_ = 0;
-  uint64_t prefetch_hits_local_ = 0;
-  uint64_t prefetch_issued_local_ = 0;
   bool park_pending_ = false;
   PageId park_page_ = kInvalidPageId;
   std::chrono::steady_clock::time_point park_start_;
@@ -226,35 +209,18 @@ void JoinImpl::LatchStop(StopCause cause, double key) {
   // everything unemitted (bound_is_upper, set at construction).
   stats_.quality.guaranteed_lower_bound = objective_.KeyToDistance(key);
   stats_.quality.is_exact = false;
-  DrainSpeculation();
   CaptureIoStats();
 }
 
 void JoinImpl::CaptureIoStats() {
   stats_.disk_accesses_p = misses_p_;
   stats_.disk_accesses_q = misses_q_;
-  stats_.prefetch_issued = prefetch_issued_local_;
-  stats_.prefetch_hits = prefetch_hits_local_;
   stats_.queue_spill_reads = queue_.spill_reads();
   stats_.queue_spill_writes = queue_.spill_writes();
 }
 
-void JoinImpl::DrainSpeculation() {
-  if (waker_ || !prefetch_.enabled()) return;
-  tree_p_.buffer()->DrainPrefetches();
-  if (tree_q_.buffer() != tree_p_.buffer()) {
-    tree_q_.buffer()->DrainPrefetches();
-  }
-}
-
-size_t JoinImpl::PushChildrenOneSide(const NodeImage& node,
-                                     const ItemSide& other, bool node_first) {
-  // Speculate on the node pages of the W nearest children: the queue pops
-  // in ascending key order, so the children pushed with the smallest keys
-  // are the likeliest next expansions. Children the k_bound already rules
-  // out are dropped by PushItem and never speculated on.
-  const bool speculate = prefetch_.enabled() && !node.IsLeaf();
-  if (speculate) prefetch_.Clear();
+void JoinImpl::PushChildrenOneSide(const NodeImage& node,
+                                   const ItemSide& other, bool node_first) {
   for (const Entry& entry : node.entries()) {
     const ItemSide child = node.IsLeaf() ? ObjectSide(entry)
                                          : NodeSide(entry, node.level() - 1);
@@ -264,20 +230,11 @@ size_t JoinImpl::PushChildrenOneSide(const NodeImage& node,
     item.key = KeyOf(item.a, item.b);
     item.tie_level = TieLevelOf(item.a, item.b);
     PushItem(item);
-    if (speculate && item.key <= k_bound_.Bound()) {
-      prefetch_.Add(item.key, node_first ? entry.id : kInvalidPageId,
-                    node_first ? kInvalidPageId : entry.id);
-    }
   }
-  return speculate ? prefetch_.Issue() : 0;
 }
 
-size_t JoinImpl::PushChildrenBoth(const NodeImage& node_a,
-                                  const NodeImage& node_b) {
-  // Leaf/leaf expansions produce only object pairs — nothing to read ahead.
-  const bool speculate =
-      prefetch_.enabled() && !(node_a.IsLeaf() && node_b.IsLeaf());
-  if (speculate) prefetch_.Clear();
+void JoinImpl::PushChildrenBoth(const NodeImage& node_a,
+                                const NodeImage& node_b) {
   const auto push_pair = [&](const Entry& ea, const Entry& eb) {
     const ItemSide ca = node_a.IsLeaf() ? ObjectSide(ea)
                                         : NodeSide(ea, node_a.level() - 1);
@@ -289,10 +246,6 @@ size_t JoinImpl::PushChildrenBoth(const NodeImage& node_a,
     item.key = KeyOf(ca, cb);
     item.tie_level = TieLevelOf(ca, cb);
     PushItem(item);
-    if (speculate && item.key <= k_bound_.Bound()) {
-      prefetch_.Add(item.key, ca.is_node ? ca.id : kInvalidPageId,
-                    cb.is_node ? cb.id : kInvalidPageId);
-    }
     return true;
   };
   // The sweep's axis-gap skip lower-bounds a pair's *distance*, which only
@@ -308,14 +261,13 @@ size_t JoinImpl::PushChildrenBoth(const NodeImage& node_a,
     cpq_internal::SweepNodePairs(node_a, node_b, Metric::kL2,
                                  /*strict=*/true,
                                  [&] { return k_bound_.Bound(); }, push_pair);
-    return 0;
+    return;
   }
   for (const Entry& ea : node_a.entries()) {
     for (const Entry& eb : node_b.entries()) {
       push_pair(ea, eb);
     }
   }
-  return speculate ? prefetch_.Issue() : 0;
 }
 
 void JoinImpl::CountRead(const BufferManager::TryReadOutcome& outcome,
@@ -329,7 +281,6 @@ void JoinImpl::CountRead(const BufferManager::TryReadOutcome& outcome,
   } else {
     ++misses_q_;
   }
-  if (outcome.prefetch_claim) ++prefetch_hits_local_;
   if (outcome.nowait) ++stats_.io_nowait_reads;
 }
 
@@ -363,9 +314,6 @@ void JoinImpl::NoteResumed() {
 JoinImpl::TryOutcome JoinImpl::TryStart(Status* error) {
   QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
   if (root_stage_ == 0) {
-    prefetch_.Configure(tree_p_.buffer(), tree_q_.buffer(),
-                        options_.prefetch_window,
-                        accounting_ ? ctx_ : nullptr);
     if (tree_p_.size() == 0 || tree_q_.size() == 0) {
       started_ = true;
       root_stage_ = 3;
@@ -490,7 +438,7 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     // Both nodes in hand: the expansion's bookkeeping and pushes run
     // exactly once, however many parks interleaved.
     stats_.node_accesses += 2;
-    prefetch_issued_local_ += PushChildrenBoth(*node_a_, *node_b_);
+    PushChildrenBoth(*node_a_, *node_b_);
     return TryOutcome::kOk;
   }
 
@@ -545,7 +493,7 @@ JoinImpl::TryOutcome JoinImpl::TryExpand(Status* error) {
     have_a_ = true;
   }
   ++stats_.node_accesses;
-  prefetch_issued_local_ += PushChildrenOneSide(*node_a_, *other, node_first);
+  PushChildrenOneSide(*node_a_, *other, node_first);
   return TryOutcome::kOk;
 }
 
@@ -565,7 +513,6 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
   for (;;) {
     if (!have_pending_) {
       if (queue_.Empty()) {
-        DrainSpeculation();
         CaptureIoStats();
         stats_.quality.pairs_found = results_emitted_;
         return NextOutcome::kExhausted;
@@ -575,8 +522,7 @@ JoinImpl::NextOutcome JoinImpl::TryNext(std::optional<PairResult>* out,
       if (!pending_item_.a.is_node && !pending_item_.b.is_node) {
         // The next closest pair: no unexpanded item can beat its key.
         // ClosestPoints realizes the key; for point objects it returns the
-        // points themselves. No drain here: the join is incremental and
-        // staged speculation may still be claimed by the next call.
+        // points themselves.
         PairResult res;
         ClosestPoints(pending_item_.a.rect, pending_item_.b.rect, &res.p,
                       &res.q);

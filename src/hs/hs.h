@@ -69,12 +69,6 @@ struct HsOptions {
   /// threshold stays infinite) or on non-leaf expansions.
   LeafKernel leaf_kernel = LeafKernel::kPlaneSweep;
 
-  /// Speculative prefetch window W (see CpqOptions::prefetch_window): on
-  /// each node expansion the join issues asynchronous reads for the node
-  /// pages of the W nearest children just pushed. 0 (default) disables
-  /// speculation; results and disk-access counts are identical either way.
-  size_t prefetch_window = 0;
-
   /// Lifecycle limits (see CpqOptions::control), polled before each node
   /// expansion. Because the join emits pairs in ascending distance, a
   /// stopped join's output is an exact *prefix* of the full result and the
@@ -101,10 +95,6 @@ struct HsStats {
   /// Logical R-tree node reads (1 per one-sided expansion, 2 per
   /// simultaneous one); the quantity HsOptions::control budgets.
   uint64_t node_accesses = 0;
-  /// Speculative reads issued / claimed by this join (both trees
-  /// combined; zero with prefetch_window = 0; see CpqStats).
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
   /// Scheduler-driven execution only (zero when the join runs inline):
   /// parks on non-resident pages, total parked wall time and misses served
   /// without a park (see CpqStats).

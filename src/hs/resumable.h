@@ -6,9 +6,6 @@
 // page lands. With an empty waker every read blocks inline and one Step
 // runs the join; HsKClosestPairs is exactly that. Results, certificates
 // and per-query disk accesses therefore do not depend on the drive mode.
-// The same lifetime rule as ResumableCpqQuery applies: a scheduled join
-// leaves its staged speculation to the caller's buffer drain, which must
-// run before the task or its QueryContext is destroyed.
 
 #ifndef KCPQ_HS_RESUMABLE_H_
 #define KCPQ_HS_RESUMABLE_H_
@@ -26,9 +23,8 @@ namespace kcpq {
 /// read status()/TakeResults(), discard.
 class ResumableHsQuery final : public ResumableTask {
  public:
-  /// `stats` may be null. The trees must outlive the task and any buffer
-  /// drain settling its speculation; `options.context` (if set) likewise.
-  /// An empty `waker` drives the join inline.
+  /// `stats` may be null. The trees and `options.context` (if set) must
+  /// outlive the task. An empty `waker` drives the join inline.
   ResumableHsQuery(const RStarTree& tree_p, const RStarTree& tree_q, size_t k,
                    HsOptions options, HsStats* stats, Waker waker);
   ~ResumableHsQuery() override;

@@ -165,25 +165,6 @@ std::string RenderExplainReport(const ExplainInputs& in,
      << "  misses: " << Num(in.buffer_misses)
      << "  hit ratio: " << Percent(in.buffer_hits, lookups) << "\n\n";
 
-  // Rendered only when speculation ran: default reports stay byte-stable.
-  if (in.prefetch_issued > 0) {
-    os << "Prefetch\n";
-    os << "  issued: " << Num(in.prefetch_issued)
-       << "  hits: " << Num(in.prefetch_hits)
-       << "  wasted: " << Num(in.prefetch_wasted)
-       << "  hit ratio: " << Percent(in.prefetch_hits, in.prefetch_issued);
-    if (!in.prefetch_pop_order.empty()) {
-      // "Wasted" means speculated-but-unclaimed relative to the objective's
-      // own pop order — a farthest run speculating in descending MAXMAXDIST
-      // is not mis-speculating just because the order isn't MINMINDIST.
-      os << "  pop order: " << in.prefetch_pop_order;
-    }
-    if (in.prefetch_pending > 0) {
-      os << "  PENDING: " << Num(in.prefetch_pending) << " (not drained)";
-    }
-    os << "\n\n";
-  }
-
   // Rendered only when the query ran under the completion-driven
   // scheduler: blocking-path reports (and their goldens) stay byte-stable.
   if (!in.scheduler.empty()) {

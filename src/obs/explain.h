@@ -90,10 +90,6 @@ struct ExplainInputs {
   /// kFarthest: the partial-result bound is an *upper* bound (missing
   /// pairs all <=), flipping the PARTIAL line's inequality.
   bool bound_is_upper = false;
-  /// The objective's prefetch pop-order label (e.g. "MAXMAXDIST
-  /// descending"). Rendered in the Prefetch section so wasted-speculation
-  /// counts are read against the right order; empty omits it.
-  std::string prefetch_pop_order;
 
   uint64_t k = 0;
   uint64_t results_returned = 0;
@@ -112,14 +108,6 @@ struct ExplainInputs {
   // Buffer behaviour during this query.
   uint64_t buffer_hits = 0;
   uint64_t buffer_misses = 0;
-
-  // Speculative prefetch (all zero — and the section omitted — when
-  // --prefetch=off). issued == hits + wasted + pending after a drain;
-  // pending should be 0 then and is rendered only as a leak indicator.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
-  uint64_t prefetch_pending = 0;
 
   // Completion-driven scheduling (docs/io.md): set only when the query ran
   // as a resumable state machine (the section — and golden reports — are

@@ -61,11 +61,6 @@ KcpqMetrics Register() {
   m.buffer_evictions_total = r.GetCounter("kcpq_buffer_evictions_total");
   m.buffer_writebacks_total = r.GetCounter("kcpq_buffer_writebacks_total");
 
-  m.prefetch_issued_total = r.GetCounter("kcpq_prefetch_issued_total");
-  m.prefetch_hits_total = r.GetCounter("kcpq_prefetch_hits_total");
-  m.prefetch_wasted_total = r.GetCounter("kcpq_prefetch_wasted_total");
-  m.prefetch_inflight_peak = r.GetGauge("kcpq_prefetch_inflight_peak");
-
   m.cpq_queries_total = r.GetCounter("kcpq_cpq_queries_total");
   m.cpq_node_pairs_total = r.GetCounter("kcpq_cpq_node_pairs_total");
   m.cpq_candidates_generated_total =

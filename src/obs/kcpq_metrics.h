@@ -56,12 +56,6 @@ struct KcpqMetrics {
   Counter* buffer_evictions_total;
   Counter* buffer_writebacks_total;
 
-  // -- speculative prefetch (docs/io.md) --------------------------------
-  Counter* prefetch_issued_total;
-  Counter* prefetch_hits_total;            // demand misses served staged
-  Counter* prefetch_wasted_total;          // prefetched but never claimed
-  Gauge* prefetch_inflight_peak;           // high-water mark of in-flight
-
   // -- cpq engines ------------------------------------------------------
   Counter* cpq_queries_total;
   Counter* cpq_node_pairs_total;           // node pairs expanded (ReadPair)

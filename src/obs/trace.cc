@@ -21,7 +21,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kRetry: return "retry";
     case TraceEventKind::kRetryAbandoned: return "retry_abandoned";
     case TraceEventKind::kBoundUpdate: return "bound_update";
-    case TraceEventKind::kIoOverlap: return "io_overlap";
     case TraceEventKind::kIoPark: return "io_park";
     case TraceEventKind::kIoHedge: return "io_hedge";
   }

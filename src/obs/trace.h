@@ -32,8 +32,6 @@ enum class TraceEventKind : uint8_t {
   kRetry,           // transient-fault retry attempt; a = attempt number
   kRetryAbandoned,  // retry loop gave up (deadline); a = attempts made
   kBoundUpdate,     // pruning bound T tightened; bound = new T
-  kIoOverlap,       // demand read served by a prefetched page; a = page
-                    // id, dur = residual wait (vs a full kIoWait)
   kIoPark,          // resumable engine parked on a non-resident page;
                     // a = page id, dur = parked time until resumption
   kIoHedge,         // speculative second replica read issued; a = page

@@ -70,7 +70,7 @@ void IoThreadPool::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       // Drain the queue even when stopping: a submitted completion must
-      // run, or its waiter (e.g. BufferManager::DrainPrefetches) hangs.
+      // run, or its waiter (e.g. BufferManager::SettleStaged) hangs.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();

@@ -6,9 +6,10 @@
 // dependency graph, so storage cannot borrow its workers — and mixing
 // CPU-bound query workers with threads that spend their life blocked in
 // pread/sleep would let a burst of slow reads starve compute anyway. The
-// pool is shared by every storage manager in the process: speculative
-// reads are a background activity whose parallelism should be sized to
-// the device (KCPQ_IO_THREADS), not to the number of open stores.
+// pool is shared by every storage manager in the process: the demand
+// fetches of parked queries and hedged reads are I/O-bound work whose
+// parallelism should be sized to the device (KCPQ_IO_THREADS), not to the
+// number of open stores.
 //
 // Thread-safety: Submit may be called from any thread. Tasks run in
 // submission order per worker pickup (no ordering guarantee across
@@ -43,7 +44,8 @@ class IoThreadPool {
 
   /// Enqueues `task` for execution on a worker thread. Never blocks on the
   /// task itself (the queue is unbounded: callers bound their own in-flight
-  /// work, e.g. BufferManager's prefetch capacity).
+  /// work, e.g. the scheduler's cap on live queries, each of which has at
+  /// most one demand fetch outstanding).
   void Submit(std::function<void()> task);
 
   size_t threads() const { return workers_.size(); }
@@ -56,9 +58,11 @@ class IoThreadPool {
   /// itself deadlocks the pool once every worker does it.
   static bool OnWorkerThread();
 
-  /// Default worker count when KCPQ_IO_THREADS is unset: enough to overlap
-  /// a prefetch window of 8 node pairs, independent of core count (the
-  /// workers block in I/O, they do not compute).
+  /// Default worker count when KCPQ_IO_THREADS is unset: enough to keep
+  /// the demand fetches of 8 parked queries in flight at once, independent
+  /// of core count (the workers block in I/O, they do not compute). A
+  /// scheduled batch parks more queries than that; the rest queue, and a
+  /// slow store wants the uring backend or a larger KCPQ_IO_THREADS.
   static constexpr size_t kDefaultThreads = 8;
 
  private:

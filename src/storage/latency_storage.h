@@ -28,7 +28,7 @@
 // sleeps would silently turn every concurrency bench into a sequential
 // one. async_storage_test.cc pins this down with a two-thread timing
 // assertion, and the async read path (ReadPagesAsync over the shared
-// I/O pool) relies on it to overlap speculative reads.
+// I/O pool) relies on it to overlap the demand fetches of parked queries.
 //
 // The async batched path needs its own care: the default thread-pool
 // backend runs one DoReadPage per pool task, so a batch wider than the

@@ -1,9 +1,7 @@
 // Tests for the asynchronous batched read path: IoThreadPool basics,
 // StorageManager::ReadPagesAsync across backends and decorators, the
 // LatencyStorageManager concurrency contract (sleeps overlap across
-// threads), and the BufferManager's speculative prefetch area —
-// coalescing, claims, drains, and the accounting identity
-// issued == hits + wasted + in-flight.
+// threads).
 
 #include <atomic>
 #include <chrono>
@@ -13,9 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "buffer/buffer_manager.h"
-#include "buffer/replacement_policy.h"
-#include "common/query_context.h"
 #include "gtest/gtest.h"
 #include "storage/async_io.h"
 #include "storage/checksum_storage.h"
@@ -220,207 +215,6 @@ TEST(LatencyOverlapTest, AsyncBatchOverlapsLatencyReads) {
   // threads by default) overlaps them.
   EXPECT_LT(elapsed, std::chrono::milliseconds(150))
       << "async batch reads appear serialized";
-}
-
-// --- BufferManager speculative prefetch ----------------------------------
-
-/// Polls until the buffer has `n` staged (ready, unclaimed) pages.
-void WaitForStaged(const BufferManager& buffer, size_t n) {
-  const auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (buffer.prefetch_staged() < n && Clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  ASSERT_GE(buffer.prefetch_staged(), n);
-}
-
-TEST(PrefetchBufferTest, ClaimedPrefetchStillCountsTheDemandMiss) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 4);
-  BufferManager buffer(&storage, 8);
-  EXPECT_EQ(buffer.Prefetch(ids.data(), ids.size()), ids.size());
-  WaitForStaged(buffer, ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Page page;
-    KCPQ_ASSERT_OK(buffer.Read(ids[i], &page));
-    EXPECT_EQ(page.data()[0], static_cast<uint8_t>('A' + i % 26));
-  }
-  const BufferStats stats = buffer.stats();
-  // The paper's metric is untouched: a demand read served by a prefetched
-  // page still counts as a miss, exactly as if the page came from disk.
-  EXPECT_EQ(stats.misses, ids.size());
-  EXPECT_EQ(stats.prefetch_issued, ids.size());
-  EXPECT_EQ(stats.prefetch_hits, ids.size());
-  EXPECT_EQ(stats.prefetch_wasted, 0u);
-  EXPECT_EQ(buffer.prefetch_inflight(), 0u);
-  EXPECT_EQ(buffer.prefetch_staged(), 0u);
-  // Second read of each page is a plain hit from the frame table.
-  for (const PageId id : ids) {
-    Page page;
-    KCPQ_ASSERT_OK(buffer.Read(id, &page));
-  }
-  EXPECT_EQ(buffer.stats().hits, ids.size());
-}
-
-TEST(PrefetchBufferTest, MissCountsIdenticalWithAndWithoutPrefetch) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 12);
-  const auto read_all = [&](BufferManager* buffer) {
-    for (const PageId id : ids) {
-      Page page;
-      KCPQ_ASSERT_OK(buffer->Read(id, &page));
-    }
-    for (const PageId id : ids) {  // second pass exercises hits/evictions
-      Page page;
-      KCPQ_ASSERT_OK(buffer->Read(id, &page));
-    }
-  };
-  BufferManager plain(&storage, 4);
-  read_all(&plain);
-  BufferManager prefetching(&storage, 4);
-  EXPECT_GT(prefetching.Prefetch(ids.data(), ids.size()), 0u);
-  read_all(&prefetching);
-  prefetching.DrainPrefetches();
-  EXPECT_EQ(prefetching.stats().misses, plain.stats().misses);
-  EXPECT_EQ(prefetching.stats().hits, plain.stats().hits);
-  EXPECT_EQ(prefetching.stats().evictions, plain.stats().evictions);
-}
-
-TEST(PrefetchBufferTest, DuplicateAndResidentPrefetchesCoalesce) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 2);
-  BufferManager buffer(&storage, 4);
-  Page page;
-  KCPQ_ASSERT_OK(buffer.Read(ids[0], &page));  // resident
-  const PageId batch[] = {ids[0], ids[1], ids[1]};
-  // Resident page skipped, duplicate coalesced: one speculative read.
-  EXPECT_EQ(buffer.Prefetch(batch, 3), 1u);
-  WaitForStaged(buffer, 1);
-  EXPECT_EQ(buffer.Prefetch(&ids[1], 1), 0u);  // already staged
-  buffer.DrainPrefetches();
-  const BufferStats stats = buffer.stats();
-  EXPECT_EQ(stats.prefetch_issued, 1u);
-  EXPECT_EQ(stats.prefetch_wasted, 1u);
-}
-
-TEST(PrefetchBufferTest, DrainDiscardsStagedPagesAsWasted) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 5);
-  BufferManager buffer(&storage, 8);
-  EXPECT_EQ(buffer.Prefetch(ids.data(), ids.size()), ids.size());
-  Page page;
-  KCPQ_ASSERT_OK(buffer.Read(ids[0], &page));  // one claimed (hit)
-  buffer.DrainPrefetches();
-  const BufferStats stats = buffer.stats();
-  EXPECT_EQ(stats.prefetch_issued, ids.size());
-  EXPECT_EQ(stats.prefetch_hits, 1u);
-  EXPECT_EQ(stats.prefetch_wasted, ids.size() - 1);
-  // The accounting identity with nothing in flight after a drain.
-  EXPECT_EQ(stats.prefetch_issued, stats.prefetch_hits + stats.prefetch_wasted);
-  EXPECT_EQ(buffer.prefetch_inflight(), 0u);
-  EXPECT_EQ(buffer.prefetch_staged(), 0u);
-  EXPECT_GE(buffer.prefetch_inflight_peak(), 1u);
-}
-
-TEST(PrefetchBufferTest, CapacityBoundsSpeculation) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 10);
-  BufferManager buffer(&storage, 16);
-  buffer.set_prefetch_capacity(3);
-  EXPECT_EQ(buffer.Prefetch(ids.data(), ids.size()), 3u);
-  buffer.DrainPrefetches();
-  EXPECT_EQ(buffer.stats().prefetch_issued, 3u);
-}
-
-TEST(PrefetchBufferTest, PrefetchChargesTheQueryContext) {
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 4);
-  BufferManager buffer(&storage, 8);
-  QueryContext ctx((QueryControl()));
-  EXPECT_EQ(buffer.Prefetch(ids.data(), ids.size(), &ctx), ids.size());
-  // Charged at issue time on the query thread, before any completion.
-  EXPECT_GE(ctx.accountant().peak_total_bytes(),
-            ids.size() * storage.page_size());
-  buffer.DrainPrefetches();
-}
-
-TEST(PrefetchBufferTest, ZeroCapacityBufferStillClaimsPrefetches) {
-  // A capacity-0 (pass-through) buffer has no frame table, but the
-  // prefetch area still works: claims serve the demand read directly.
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 3);
-  BufferManager buffer(&storage, 0);
-  EXPECT_EQ(buffer.Prefetch(ids.data(), ids.size()), ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Page page;
-    KCPQ_ASSERT_OK(buffer.Read(ids[i], &page));
-    EXPECT_EQ(page.data()[0], static_cast<uint8_t>('A' + i % 26));
-  }
-  const BufferStats stats = buffer.stats();
-  EXPECT_EQ(stats.misses, ids.size());
-  EXPECT_EQ(stats.prefetch_hits, ids.size());
-}
-
-TEST(PrefetchBufferTest, ConcurrentPrefetchAndReadsAreSafe) {
-  // Hammer the same small page set from several threads while prefetches
-  // stream in; under TSan this pins down the shard/area lock protocol.
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 16);
-  BufferManager buffer(&storage, 8, /*shards=*/4,
-                       [] { return MakeLruPolicy(); });
-  std::vector<std::thread> workers;
-  workers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      for (int round = 0; round < 200; ++round) {
-        const size_t offset = (static_cast<size_t>(t) * 4 + round) % 8;
-        buffer.Prefetch(ids.data() + offset, 4);
-        for (size_t i = 0; i < ids.size(); ++i) {
-          Page page;
-          KCPQ_EXPECT_OK(buffer.Read(ids[(i + offset) % ids.size()], &page));
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  buffer.DrainPrefetches();
-  const BufferStats stats = buffer.stats();
-  EXPECT_EQ(stats.prefetch_issued, stats.prefetch_hits + stats.prefetch_wasted);
-  EXPECT_EQ(buffer.prefetch_inflight(), 0u);
-  EXPECT_EQ(buffer.prefetch_staged(), 0u);
-}
-
-TEST(PrefetchBufferTest, ReaderWaitingOnPrefetchUnderShardLockNeverDeadlocks) {
-  // A reader that misses on an in-flight prefetch waits for it while
-  // holding the page's shard lock. Prefetch once registered a batch's
-  // pages one by one, taking each next page's shard lock, and submitted
-  // the reads only after the loop: a reader waiting on an already
-  // registered page then blocked the registrar for good. With one shard
-  // every page shares that lock; before the fix this loop hung in 9 of
-  // 10 runs (4-core x86-64, gcc 12), and it takes well under a second.
-  MemoryStorageManager storage;
-  const std::vector<PageId> ids = FillPages(&storage, 16);
-  BufferManager buffer(&storage, 4, /*shards=*/1,
-                       [] { return MakeLruPolicy(); });
-  std::vector<std::thread> workers;
-  workers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      for (int round = 0; round < 3000; ++round) {
-        const size_t offset = (static_cast<size_t>(t) * 5 + round) % 8;
-        buffer.Prefetch(ids.data() + offset, 8);
-        for (size_t i = 0; i < 8; ++i) {
-          Page page;
-          KCPQ_EXPECT_OK(buffer.Read(ids[(offset + 7 - i) % ids.size()],
-                                     &page));
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  buffer.DrainPrefetches();
-  const BufferStats stats = buffer.stats();
-  EXPECT_EQ(stats.prefetch_issued, stats.prefetch_hits + stats.prefetch_wasted);
-  EXPECT_EQ(buffer.prefetch_inflight(), 0u);
 }
 
 }  // namespace

@@ -69,6 +69,25 @@ TEST_F(CliTest, UnknownCommandFails) {
   EXPECT_FALSE(RunCli({"frobnicate"}, &out).ok());
 }
 
+TEST_F(CliTest, UnknownFlagFailsNamingIt) {
+  BuildBoth("100");
+  std::string out;
+  // A typo, a retired flag, and a flag another command owns all fail, and
+  // the error names the flag.
+  for (const std::string& flag : std::vector<std::string>{
+           "--deadine-ms=5", "--prefetch=on", "--edges=0-1"}) {
+    const Status status = RunCli({"kcp", db_p_, db_q_, "1", flag}, &out);
+    ASSERT_EQ(status.code(), StatusCode::kInvalidArgument) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(status.message().find(name), std::string::npos)
+        << status.message();
+  }
+  EXPECT_EQ(RunCli({"stats", db_p_, "--buffer=4"}, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunCli({"semi", db_p_, db_q_, "--algorithm=heap"}, &out).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(CliTest, GenerateBuildStats) {
   BuildBoth("1000");
   std::string out;

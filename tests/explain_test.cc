@@ -163,11 +163,6 @@ obs::ExplainInputs MakeInputs(const CpqOptions& options,
           "rect-ineligible subtrees skipped before candidacy";
       break;
   }
-  if (options.family != QueryFamily::kClosest) {
-    inputs.prefetch_pop_order = objective.minimizing()
-                                    ? "MINMINDIST ascending"
-                                    : "MAXMAXDIST descending";
-  }
   inputs.k = options.k;
   inputs.results_returned = run.pairs.size();
   inputs.result_max_distance =

@@ -1,7 +1,7 @@
 // Differential suite for the non-paper objective families (farthest pairs
 // and rectangle-restricted closest pairs): 50 seeded workloads, K in
-// {1, 10}, blocking vs. resumable scheduler, speculation off and on — every
-// configuration must match an independent brute-force oracle, and the two
+// {1, 10}, blocking vs. resumable scheduler — every configuration must
+// match an independent brute-force oracle, and the two
 // schedulers must agree bit-for-bit on pairs and disk accesses (buffer
 // capacity 0, where per-query reads are exactly the traversal's).
 
@@ -152,64 +152,32 @@ TEST(FamiliesDifferential, FiftySeedsMatchOracleAndSchedulersAgree) {
     std::vector<MixEntry> mix;
     const std::vector<BatchQuery> queries = MakeFamilyMix(rect, &mix);
 
-    for (size_t window : {size_t{0}, size_t{8}}) {
-      BatchOptions blocking;
-      blocking.threads = 2;
-      blocking.prefetch_window = window;
-      const std::vector<BatchQueryResult> want =
-          BatchKClosestPairs(fp.tree(), fq.tree(), queries, blocking);
+    BatchOptions blocking;
+    blocking.threads = 2;
+    const std::vector<BatchQueryResult> want =
+        BatchKClosestPairs(fp.tree(), fq.tree(), queries, blocking);
 
-      BatchOptions resumable = blocking;
-      resumable.scheduler = SchedulerMode::kResumable;
-      resumable.max_inflight = queries.size();
-      const std::vector<BatchQueryResult> got =
-          BatchKClosestPairs(fp.tree(), fq.tree(), queries, resumable);
+    BatchOptions resumable = blocking;
+    resumable.scheduler = SchedulerMode::kResumable;
+    resumable.max_inflight = queries.size();
+    const std::vector<BatchQueryResult> got =
+        BatchKClosestPairs(fp.tree(), fq.tree(), queries, resumable);
 
-      ASSERT_EQ(want.size(), queries.size());
-      ASSERT_EQ(got.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const std::string label =
-            "seed " + std::to_string(seed) + " query " + std::to_string(i) +
-            " window " + std::to_string(window);
-        ASSERT_TRUE(want[i].status.ok()) << label << want[i].status.ToString();
-        ASSERT_TRUE(got[i].status.ok()) << label << got[i].status.ToString();
-        const std::vector<double> oracle = OracleDistances(
-            items_p, items_q, mix[i].k, mix[i].family, rect);
-        ExpectMatchesOracle(want[i].pairs, oracle, mix[i].family, rect,
-                            label + " blocking");
-        ExpectMatchesOracle(got[i].pairs, oracle, mix[i].family, rect,
-                            label + " resumable");
-        ExpectBitIdentical(got[i], want[i], label);
-      }
+    ASSERT_EQ(want.size(), queries.size());
+    ASSERT_EQ(got.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " query " + std::to_string(i);
+      ASSERT_TRUE(want[i].status.ok()) << label << want[i].status.ToString();
+      ASSERT_TRUE(got[i].status.ok()) << label << got[i].status.ToString();
+      const std::vector<double> oracle = OracleDistances(
+          items_p, items_q, mix[i].k, mix[i].family, rect);
+      ExpectMatchesOracle(want[i].pairs, oracle, mix[i].family, rect,
+                          label + " blocking");
+      ExpectMatchesOracle(got[i].pairs, oracle, mix[i].family, rect,
+                          label + " resumable");
+      ExpectBitIdentical(got[i], want[i], label);
     }
-  }
-}
-
-// Speculation must not change results or the paper's cost metric: the
-// prefetch-on runs above already compare against the same oracle; this
-// pins blocking prefetch-on == prefetch-off bit-for-bit per family.
-TEST(FamiliesDifferential, PrefetchInvisibleToResultsAndDiskAccesses) {
-  const Items items_p = MakeUniformItems(300, 71);
-  const Items items_q = MakeClusteredItems(300, 72);
-  TreeFixture fp(0), fq(0);
-  KCPQ_ASSERT_OK(fp.Build(items_p));
-  KCPQ_ASSERT_OK(fq.Build(items_q));
-  Xoshiro256pp rng(73);
-  const Rect rect = RandomRect(rng, 0.7);
-
-  std::vector<MixEntry> mix;
-  const std::vector<BatchQuery> queries = MakeFamilyMix(rect, &mix);
-  BatchOptions off;
-  off.threads = 1;
-  const std::vector<BatchQueryResult> want =
-      BatchKClosestPairs(fp.tree(), fq.tree(), queries, off);
-  BatchOptions on = off;
-  on.prefetch_window = 8;
-  const std::vector<BatchQueryResult> got =
-      BatchKClosestPairs(fp.tree(), fq.tree(), queries, on);
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    ExpectBitIdentical(got[i], want[i], "query " + std::to_string(i));
   }
 }
 

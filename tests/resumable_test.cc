@@ -3,8 +3,7 @@
 // against the blocking executor (bit-identical results, certificates, and
 // disk-access counts across 50 seeded workloads), BufferManager::TryRead's
 // park/serve/count semantics, the scheduler's wake protocol under
-// mid-step wakes, the prefetch-staging accountant symmetry, per-page
-// latency on the async storage path, and a chaos mix of transient faults,
+// mid-step wakes, per-page latency on the async storage path, and a chaos mix of transient faults,
 // deadlines, and cancellation mid-park.
 
 #include <atomic>
@@ -53,13 +52,9 @@ void ExpectSameDistances(const std::vector<PairResult>& got,
 /// Full per-query stats equality — the resumable engine must replicate the
 /// blocking engine's work *and* I/O accounting exactly. Excluded as
 /// legitimately scheduler-dependent: io_parks (parking is the scheduler's
-/// mechanism) and, when speculation is on, the prefetch counters — the
-/// prefetch area is shared across the batch and the resumable executor
-/// drains it once per batch instead of once per query, so which query's
-/// Issue is coalesced away or whose staged page gets claimed depends on
-/// interleaving. Disk accesses do NOT inherit that freedom: a claim counts
+/// mechanism). Disk accesses do NOT inherit that freedom: a claim counts
 /// as a miss exactly like a synchronous fetch.
-void ExpectSameStats(const CpqStats& a, const CpqStats& b, bool speculation,
+void ExpectSameStats(const CpqStats& a, const CpqStats& b,
                      const std::string& label) {
   EXPECT_EQ(a.node_pairs_processed, b.node_pairs_processed) << label;
   EXPECT_EQ(a.candidate_pairs_generated, b.candidate_pairs_generated) << label;
@@ -71,12 +66,6 @@ void ExpectSameStats(const CpqStats& a, const CpqStats& b, bool speculation,
   EXPECT_EQ(a.node_accesses, b.node_accesses) << label;
   EXPECT_EQ(a.disk_accesses_p, b.disk_accesses_p) << label;
   EXPECT_EQ(a.disk_accesses_q, b.disk_accesses_q) << label;
-  if (!speculation) {
-    EXPECT_EQ(a.prefetch_issued, 0u) << label;
-    EXPECT_EQ(a.prefetch_hits, 0u) << label;
-    EXPECT_EQ(b.prefetch_issued, 0u) << label;
-    EXPECT_EQ(b.prefetch_hits, 0u) << label;
-  }
   EXPECT_EQ(a.quality.stop_cause, b.quality.stop_cause) << label;
   EXPECT_EQ(a.quality.is_exact, b.quality.is_exact) << label;
   EXPECT_EQ(a.quality.pairs_found, b.quality.pairs_found) << label;
@@ -130,7 +119,6 @@ TEST(ResumableDifferential, FiftySeedsMatchBlockingExactly) {
 
     BatchOptions blocking;
     blocking.threads = 2;
-    if (seed % 3 == 0) blocking.prefetch_window = 2;
     const std::vector<BatchQueryResult> want =
         BatchKClosestPairs(fp.tree(), fq.tree(), queries, blocking);
 
@@ -148,8 +136,7 @@ TEST(ResumableDifferential, FiftySeedsMatchBlockingExactly) {
       ASSERT_TRUE(got[i].status.ok()) << label << got[i].status.ToString();
       EXPECT_EQ(got[i].outcome, want[i].outcome) << label;
       ExpectSameDistances(got[i].pairs, want[i].pairs, label);
-      ExpectSameStats(got[i].stats, want[i].stats,
-                      blocking.prefetch_window > 0, label);
+      ExpectSameStats(got[i].stats, want[i].stats, label);
     }
   }
 }
@@ -234,7 +221,6 @@ TEST(TryReadTest, ParkServeMissThenHit) {
       buffer.TryRead(id.value(), &out, nullptr, gate.waker(), &outcome));
   ASSERT_FALSE(outcome.parked);
   EXPECT_FALSE(outcome.hit);
-  EXPECT_FALSE(outcome.prefetch_claim);
   EXPECT_EQ(out.data()[0], 0x5a);
   EXPECT_EQ(buffer.stats().misses, 1u);
 
@@ -272,53 +258,6 @@ TEST(TryReadTest, CapacityZeroCountsOneMissPerServe) {
   // The pass-through buffer charges one miss per serve, like blocking Read.
   EXPECT_EQ(buffer.stats().misses, 2u);
   EXPECT_EQ(buffer.stats().hits, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Prefetch-staging accountant symmetry (PR satellite): a staged page
-// claimed by a different query than its issuer credits the issuer back.
-
-TEST(AccountantTest, ForeignClaimReleasesIssuerCharge) {
-  MemoryStorageManager storage(kDefaultPageSize);
-  BufferManager buffer(&storage, 4);
-  auto id = buffer.Allocate();
-  KCPQ_ASSERT_OK(id.status());
-  Page page(kDefaultPageSize);
-  KCPQ_ASSERT_OK(buffer.Write(id.value(), page));
-  KCPQ_ASSERT_OK(buffer.FlushAndClear());
-
-  QueryContext issuer, claimer;
-  const PageId pid = id.value();
-  ASSERT_EQ(buffer.Prefetch(&pid, 1, &issuer), 1u);
-  EXPECT_EQ(issuer.accountant().buffer_bytes(), kDefaultPageSize);
-
-  // The sync backend stages the page before Prefetch returns; a different
-  // query claims it via a demand read.
-  Page out(kDefaultPageSize);
-  KCPQ_ASSERT_OK(buffer.Read(pid, &out, &claimer));
-  EXPECT_EQ(claimer.accountant().buffer_bytes(), kDefaultPageSize);
-  EXPECT_EQ(issuer.accountant().buffer_bytes(), 0u)
-      << "issuer must be credited back for a page another query consumed";
-  buffer.DrainPrefetches();
-}
-
-TEST(AccountantTest, OwnClaimKeepsIssuerCharge) {
-  MemoryStorageManager storage(kDefaultPageSize);
-  BufferManager buffer(&storage, 4);
-  auto id = buffer.Allocate();
-  KCPQ_ASSERT_OK(id.status());
-  Page page(kDefaultPageSize);
-  KCPQ_ASSERT_OK(buffer.Write(id.value(), page));
-  KCPQ_ASSERT_OK(buffer.FlushAndClear());
-
-  QueryContext issuer;
-  const PageId pid = id.value();
-  ASSERT_EQ(buffer.Prefetch(&pid, 1, &issuer), 1u);
-  Page out(kDefaultPageSize);
-  KCPQ_ASSERT_OK(buffer.Read(pid, &out, &issuer));
-  EXPECT_EQ(issuer.accountant().buffer_bytes(), kDefaultPageSize)
-      << "claiming one's own speculation is not a credit";
-  buffer.DrainPrefetches();
 }
 
 // ---------------------------------------------------------------------------

@@ -27,9 +27,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,8 +130,7 @@ std::vector<BatchQuery> MakeQueryMix(int seed) {
 // 50 seeded workloads on file-backed, zero-buffer trees: for both the
 // blocking and the resumable executor, switching --io-backend from the
 // portable pool to the native ring must leave every query's pairs and
-// disk-access counts bit-identical. Prefetch rides along on every third
-// seed so the async path is exercised under the blocking scheduler too.
+// disk-access counts bit-identical.
 TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
   KCPQ_SKIP_WITHOUT_URING();
   uint64_t resumable_ring_reads = 0;
@@ -150,7 +152,6 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
       if (mode == SchedulerMode::kResumable) {
         options.max_inflight = queries.size();
       }
-      if (seed % 3 == 0) options.prefetch_window = 2;
       const std::string label =
           "seed " + std::to_string(seed) +
           (mode == SchedulerMode::kResumable ? " resumable" : " blocking");
@@ -175,10 +176,9 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
       const uint64_t ring_reads = RingReads(fp, fq);
       if (mode == SchedulerMode::kResumable) {
         resumable_ring_reads += ring_reads;
-      } else if (options.prefetch_window > 0) {
-        // The blocking executor reads synchronously; only its speculation
-        // (every third seed) goes through the ring, never probing first.
-        EXPECT_GT(ring_reads, 0u) << label;
+      } else {
+        // The blocking executor reads synchronously, never through a ring.
+        EXPECT_EQ(ring_reads, 0u) << label;
       }
     }
   }
@@ -187,9 +187,10 @@ TEST(UringDifferential, FiftySeedsPoolVsUringMatchExactly) {
 
 // An SQ ring much smaller than the in-flight bound: submissions must stall
 // (counted, visible) rather than drop reads or deadlock, and the answers
-// must be identical to the pool loop's. The prefetch window alone exceeds
-// the ring's whole completion capacity, so at least one SubmitReads call
-// is forced to wait for slots.
+// must be identical to the pool loop's. One direct 32-page ReadPagesAsync
+// batch exceeds the ring's whole completion capacity, so its SubmitReads
+// call is forced to wait for slots; the batch of 48 queries parks more
+// reads than the ring holds whenever the cold file reaches it.
 TEST(UringBackpressure, SqDepthSmallerThanMaxInflight) {
   KCPQ_SKIP_WITHOUT_URING();
   FileTreeFixture fp(0), fq(0);
@@ -207,7 +208,6 @@ TEST(UringBackpressure, SqDepthSmallerThanMaxInflight) {
   options.threads = 4;
   options.scheduler = SchedulerMode::kResumable;
   options.max_inflight = queries.size();
-  options.prefetch_window = 32;  // one batch submission > cq capacity
 
   KCPQ_ASSERT_OK(fp.storage().SetIoBackend(IoBackend::kThreadPool));
   KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kThreadPool));
@@ -222,14 +222,43 @@ TEST(UringBackpressure, SqDepthSmallerThanMaxInflight) {
   KCPQ_ASSERT_OK(fq.storage().SetIoBackend(IoBackend::kUring));
   ASSERT_EQ(fp.storage().ActiveIoBackend(), IoBackend::kUring)
       << fp.storage().IoBackendFallbackReason();
+  fp.EvictPageCache();
+  fq.EvictPageCache();
   const std::vector<BatchQueryResult> got =
       BatchKClosestPairs(fp.tree(), fq.tree(), queries, options);
-
   ExpectSameResults(got, want, "backpressure");
-  const uint64_t stalls = fp.storage().UringStats().sq_full_stalls +
-                          fq.storage().UringStats().sq_full_stalls;
-  EXPECT_GT(stalls, 0u) << "a 32-page prefetch batch into an 8-slot ring "
-                           "must stall at least once";
+
+  // 32 pages in one submission, each checked against a synchronous read.
+  const uint64_t pages = std::min<uint64_t>(fp.storage().PageCount(), 32);
+  ASSERT_EQ(pages, 32u);
+  std::vector<PageId> ids(pages);
+  for (PageId id = 0; id < pages; ++id) ids[id] = id;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<AsyncPageRead> done;
+  fp.storage().ReadPagesAsync(ids.data(), ids.size(),
+                              [&](AsyncPageRead read) {
+                                std::lock_guard<std::mutex> lock(mu);
+                                done.push_back(std::move(read));
+                                cv.notify_all();
+                              });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done.size() == ids.size(); });
+  }
+  for (const AsyncPageRead& read : done) {
+    KCPQ_ASSERT_OK(read.status);
+    Page want_page;
+    KCPQ_ASSERT_OK(fp.storage().ReadPage(read.id, &want_page));
+    ASSERT_EQ(read.page.size(), want_page.size());
+    EXPECT_EQ(std::memcmp(read.page.data(), want_page.data(),
+                          want_page.size()),
+              0)
+        << "page " << read.id;
+  }
+  const uint64_t stalls = fp.storage().UringStats().sq_full_stalls;
+  EXPECT_GT(stalls, 0u) << "a 32-page batch into an 8-slot ring must stall "
+                           "at least once";
   const IoEventLoopStats totals = fp.storage().UringStats();
   EXPECT_EQ(totals.reads_submitted,
             totals.fixed_buffer_reads + totals.unfixed_reads);
@@ -269,7 +298,6 @@ TEST(UringCancellation, MidFlightDeadlineAndCancelWithCqesOutstanding) {
     options.threads = 4;
     options.scheduler = SchedulerMode::kResumable;
     options.max_inflight = queries.size();
-    options.prefetch_window = 16;
     options.control.cancel = cancel.token();
 
     const uint64_t ring_reads_before = RingReads(fp, fq);

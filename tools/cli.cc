@@ -65,6 +65,57 @@ Status ParseFlags(const std::vector<std::string>& args, Flags* flags) {
   return Status::OK();
 }
 
+// The --flags each command reads, directly or through the shared parsers
+// it calls. Run rejects any other flag by name, so a typo or a retired
+// flag fails instead of being silently ignored.
+Status CheckFlags(const std::string& command, const Flags& flags) {
+  // OpenPair's and ParseControlFlags' flags: every two-database command
+  // reads the first set, every query command the second.
+  const std::vector<std::string> open_pair = {
+      "buffer",         "io-retries", "replicas", "hedge",
+      "hedge-after-us", "scrub",      "threads",  "io-backend",
+      "max-inflight",   "uring-sqpoll"};
+  const std::vector<std::string> control = {"deadline-ms",
+                                            "max-node-accesses"};
+  std::vector<std::string> accepted;
+  const auto accept = [&accepted](const std::vector<std::string>& names) {
+    accepted.insert(accepted.end(), names.begin(), names.end());
+  };
+  if (command == "build") {
+    accept({"page-size", "bulk"});
+  } else if (command == "kcp") {
+    accept(open_pair);
+    accept(control);
+    accept({"algorithm", "metric", "query", "rect", "kernel",
+            "fix-at-leaves", "self", "repeat", "admission",
+            "memory-pool-bytes", "admission-feedback", "scheduler",
+            "fail-fast", "explain", "trace-out", "stats-json", "obs-port",
+            "obs-linger-ms", "slow-query-log", "slow-query-ms"});
+  } else if (command == "join") {
+    accept(open_pair);
+    accept(control);
+    accept({"metric", "max-results", "self"});
+  } else if (command == "semi") {
+    accept(open_pair);
+    accept(control);
+    accept({"scheduler"});
+  } else if (command == "plan") {
+    accept(open_pair);
+  } else if (command == "multiway") {
+    accept({"edges"});
+  } else if (command != "generate" && command != "stats" &&
+             command != "knn" && command != "range") {
+    return Status::OK();  // Run reports the unknown command
+  }
+  for (const auto& [name, value] : flags.named) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      return Status::InvalidArgument("unknown flag for " + command + ": --" +
+                                     name);
+    }
+  }
+  return Status::OK();
+}
+
 Status ParseNumber(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
@@ -406,41 +457,6 @@ Status ParseControlFlags(const Flags& flags, QueryControl* control) {
   return Status::OK();
 }
 
-/// Window used by a bare `--prefetch=on` (the bench's sweet spot; see
-/// bench/bench_prefetch.cc).
-constexpr size_t kDefaultPrefetchWindow = 8;
-
-// Parses --prefetch=on|off and --prefetch-window=N into a window size.
-// --prefetch-window=N implies on (N = 0 is off); --prefetch=on alone uses
-// kDefaultPrefetchWindow. Results are bit-identical either way — the flags
-// only trade speculative I/O for wall-clock (docs/io.md).
-Status ParsePrefetchFlags(const Flags& flags, size_t* window) {
-  *window = 0;
-  bool on = false;
-  if (const auto it = flags.named.find("prefetch"); it != flags.named.end()) {
-    if (it->second == "on" || it->second == "true") {
-      on = true;
-    } else if (it->second == "off") {
-      if (flags.named.count("prefetch-window") > 0) {
-        return Status::InvalidArgument(
-            "--prefetch=off contradicts --prefetch-window");
-      }
-      return Status::OK();
-    } else {
-      return Status::InvalidArgument("--prefetch must be on or off");
-    }
-  }
-  if (const auto it = flags.named.find("prefetch-window");
-      it != flags.named.end()) {
-    uint64_t w;
-    KCPQ_RETURN_IF_ERROR(ParseCount(it->second, &w));
-    *window = static_cast<size_t>(w);
-    return Status::OK();
-  }
-  if (on) *window = kDefaultPrefetchWindow;
-  return Status::OK();
-}
-
 void PrintQuality(std::FILE* out, const QueryQuality& quality) {
   if (!quality.is_partial()) return;
   std::fprintf(out,
@@ -480,13 +496,6 @@ void PrintQueryStats(std::FILE* out, const CpqStats& stats, double seconds) {
                static_cast<unsigned long long>(
                    stats.point_distance_computations),
                seconds * 1e3);
-  if (stats.prefetch_issued > 0) {
-    std::fprintf(out, "# prefetch: issued %llu, hits %llu (%.1f%% hit)\n",
-                 static_cast<unsigned long long>(stats.prefetch_issued),
-                 static_cast<unsigned long long>(stats.prefetch_hits),
-                 100.0 * static_cast<double>(stats.prefetch_hits) /
-                     static_cast<double>(stats.prefetch_issued));
-  }
 }
 
 // The resumable scheduler's line: every run prints it, because a run whose
@@ -680,12 +689,12 @@ Status OpenPair(const Flags& flags, Database* p, Database* q,
                             RStarTree::Open(db->buffer.get(), kMetaPage));
     }
   }
-  // Async read backend for prefetching. `uring` degrades gracefully:
-  // when the kernel refuses rings, the build lacks KCPQ_IOURING, or a
-  // decorator (--io-retries / --replicas) routes async reads through the
-  // portable pool, the pair falls back to `pool` and the reason is
-  // surfaced via `io_out` (and the kcpq_io_backend_active gauge) instead
-  // of silently downgrading or hard-failing.
+  // Async read backend for parked queries' demand fetches. `uring`
+  // degrades gracefully: when the kernel refuses rings, the build lacks
+  // KCPQ_IOURING, or a decorator (--io-retries / --replicas) routes async
+  // reads through the portable pool, the pair falls back to `pool` and the
+  // reason is surfaced via `io_out` (and the kcpq_io_backend_active gauge)
+  // instead of silently downgrading or hard-failing.
   if (const auto it = flags.named.find("io-backend");
       it != flags.named.end()) {
     IoBackend backend;
@@ -768,8 +777,7 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
         "[--threads=N] [--repeat=N] [--deadline-ms=N] "
         "[--max-node-accesses=N] [--io-retries=N] [--fail-fast] "
         "[--admission=off|advisory|enforce] [--memory-pool-bytes=N] "
-        "[--admission-feedback=ALPHA] [--prefetch=on|off] "
-        "[--prefetch-window=N] [--io-backend=sync|pool|uring] "
+        "[--admission-feedback=ALPHA] [--io-backend=sync|pool|uring] "
         "[--scheduler=blocking|resumable] [--max-inflight=N] "
         "[--replicas=N] [--hedge=off|static|adaptive] [--hedge-after-us=N] "
         "[--scrub] [--explain] [--trace-out=PATH] [--stats-json=PATH] "
@@ -839,7 +847,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
     options.height_strategy = HeightStrategy::kFixAtLeaves;
   }
   options.self_join = flags.named.count("self") > 0;
-  KCPQ_RETURN_IF_ERROR(ParsePrefetchFlags(flags, &options.prefetch_window));
 
   uint64_t threads = 1;
   uint64_t repeat = 1;
@@ -1024,9 +1031,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
         *p.tree, *q.tree, options, &stats,
         scheduler == SchedulerMode::kResumable ? gate.waker() : Waker());
     gate.RunToCompletion(task);
-    // Settle speculation while the task (the prefetch issuer) is alive.
-    p.buffer->DrainPrefetches();
-    if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
     KCPQ_RETURN_IF_ERROR(task.status());
     pairs = task.TakeResults();
   }
@@ -1099,14 +1103,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
             "rect-ineligible subtrees skipped before candidacy";
         break;
     }
-    // The objective's prefetch pop order, so the wasted count is read
-    // against the right speculation order (closest keeps the legacy
-    // unlabelled rendering).
-    if (options.family != QueryFamily::kClosest) {
-      inputs.prefetch_pop_order = objective.minimizing()
-                                      ? "MINMINDIST ascending"
-                                      : "MAXMAXDIST descending";
-    }
     inputs.k = options.k;
     inputs.results_returned = pairs.size();
     inputs.result_max_distance =
@@ -1125,22 +1121,6 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
     inputs.buffer_misses =
         (after_p.misses - buffer_before_p.misses) +
         (after_q.misses - buffer_before_q.misses);
-    inputs.prefetch_issued = stats.prefetch_issued;
-    inputs.prefetch_hits = stats.prefetch_hits;
-    // The engine drained speculation before returning, so pending should
-    // be 0 and wasted == issued - hits; pending is surfaced as a leak
-    // indicator rather than asserted.
-    inputs.prefetch_pending =
-        p.buffer->prefetch_inflight() + p.buffer->prefetch_staged();
-    if (q.buffer.get() != p.buffer.get()) {
-      inputs.prefetch_pending +=
-          q.buffer->prefetch_inflight() + q.buffer->prefetch_staged();
-    }
-    const uint64_t prefetch_claimed =
-        stats.prefetch_hits + inputs.prefetch_pending;
-    inputs.prefetch_wasted = stats.prefetch_issued > prefetch_claimed
-                                 ? stats.prefetch_issued - prefetch_claimed
-                                 : 0;
     inputs.admission_estimate_bytes = estimator.EstimateQueryBytes(query);
     inputs.measured_peak_bytes = ctx.accountant().peak_total_bytes();
     if (rep.replicas > 1) {
@@ -1416,8 +1396,6 @@ Status CmdSemi(const Flags& flags, std::FILE* out) {
         *p.tree, *q.tree, &stats, control, &ctx,
         scheduler == SchedulerMode::kResumable ? gate.waker() : Waker());
     gate.RunToCompletion(task);
-    p.buffer->DrainPrefetches();
-    if (q.buffer.get() != p.buffer.get()) q.buffer->DrainPrefetches();
     KCPQ_RETURN_IF_ERROR(task.status());
     pairs = task.TakeResults();
   }
@@ -1492,7 +1470,6 @@ void PrintUsage(std::FILE* out) {
       "       [--deadline-ms=N] [--max-node-accesses=N] [--io-retries=N]\n"
       "       [--fail-fast] [--admission=off|advisory|enforce]\n"
       "       [--memory-pool-bytes=N] [--admission-feedback=ALPHA]\n"
-      "       [--prefetch=on|off] [--prefetch-window=N]\n"
       "       [--io-backend=sync|pool|uring] [--uring-sqpoll]\n"
       "       [--scheduler=blocking|resumable] [--max-inflight=N]\n"
       "       [--replicas=N] [--hedge=off|static|adaptive]\n"
@@ -1526,6 +1503,7 @@ Status Run(const std::vector<std::string>& args, std::FILE* out) {
     PrintUsage(out);
     return Status::OK();
   }
+  KCPQ_RETURN_IF_ERROR(CheckFlags(command, flags));
   if (command == "generate") return CmdGenerate(flags, out);
   if (command == "build") return CmdBuild(flags, out);
   if (command == "stats") return CmdStats(flags, out);
