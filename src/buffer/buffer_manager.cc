@@ -1,7 +1,6 @@
 #include "buffer/buffer_manager.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "obs/kcpq_metrics.h"
@@ -9,114 +8,9 @@
 
 namespace kcpq {
 
-namespace internal {
-
-/// One thread's counters for one buffer instance. Atomics because an
-/// aggregating thread (AggregateStats) reads them while the owner thread
-/// increments; all accesses are relaxed — per-counter exactness is all
-/// the consumers need, not cross-counter snapshots.
-struct BufferTlsCounters {
-  explicit BufferTlsCounters(uint64_t id) : instance_id(id) {}
-  const uint64_t instance_id;
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> misses{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> writebacks{0};
-
-  BufferStats Load() const {
-    BufferStats s;
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.writebacks = writebacks.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
-}  // namespace internal
-
-namespace {
-
-using internal::BufferTlsCounters;
-
-/// Monotone instance-id source: ids are never reused, so a thread-local
-/// table keyed by id can never confuse a dead buffer with a new one that
-/// happens to land at the same address.
-std::atomic<uint64_t> next_instance_id{1};
-
-void FoldInto(BufferStats& into, const BufferStats& s) {
-  into.hits += s.hits;
-  into.misses += s.misses;
-  into.evictions += s.evictions;
-  into.writebacks += s.writebacks;
-}
-
-struct ThreadTable;
-
-/// Global view of every thread's per-buffer tables, so AggregateStats can
-/// sum contributions across threads — including threads that already
-/// exited, whose counts fold into `retired` from the ThreadTable dtor.
-/// Lock order: registry mu before any table mu.
-struct ThreadStatsRegistry {
-  std::mutex mu;
-  std::set<ThreadTable*> live;
-  std::unordered_map<uint64_t, BufferStats> retired;  // by instance id
-
-  static ThreadStatsRegistry& Get() {
-    // Leaked: thread_local destructors may run after static destructors.
-    static ThreadStatsRegistry* instance = new ThreadStatsRegistry();
-    return *instance;
-  }
-};
-
-/// One thread's table of per-buffer counters. The entries vector is
-/// append-only and guarded by `mu` so an aggregator can walk it; the
-/// owner thread scans without the lock (only the owner mutates the
-/// vector, and it appends under the lock). Counter slots are heap
-/// allocations so their addresses survive vector growth. Entries are tiny
-/// and never removed, so the owner scans newest first: the buffers a
-/// thread reads are normally the ones it met last, and a thread that
-/// outlives thousands of short-lived buffers (a bench opening fresh views
-/// per run) must not pay a scan over all of them on every access.
-struct ThreadTable {
-  std::mutex mu;
-  std::vector<std::unique_ptr<BufferTlsCounters>> entries;
-
-  ThreadTable() {
-    ThreadStatsRegistry& reg = ThreadStatsRegistry::Get();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.live.insert(this);
-  }
-
-  ~ThreadTable() {
-    // Retire this thread's counts so aggregate views keep seeing them.
-    ThreadStatsRegistry& reg = ThreadStatsRegistry::Get();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    reg.live.erase(this);
-    for (const auto& e : entries) {
-      FoldInto(reg.retired[e->instance_id], e->Load());
-    }
-  }
-
-  BufferTlsCounters& For(uint64_t instance_id) {
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-      if ((*it)->instance_id == instance_id) return **it;
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    entries.push_back(std::make_unique<BufferTlsCounters>(instance_id));
-    return *entries.back();
-  }
-};
-
-thread_local ThreadTable tls_table;
-
-}  // namespace
-
 BufferManager::BufferManager(StorageManager* storage, size_t capacity_pages,
                              std::unique_ptr<ReplacementPolicy> policy)
-    : storage_(storage),
-      capacity_(capacity_pages),
-      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
+    : storage_(storage), capacity_(capacity_pages) {
   auto shard = std::make_unique<Shard>();
   shard->policy = std::move(policy);
   shard->capacity = capacity_pages;
@@ -126,9 +20,7 @@ BufferManager::BufferManager(StorageManager* storage, size_t capacity_pages,
 BufferManager::BufferManager(
     StorageManager* storage, size_t capacity_pages, size_t shards,
     const std::function<std::unique_ptr<ReplacementPolicy>()>& policy_factory)
-    : storage_(storage),
-      capacity_(capacity_pages),
-      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
+    : storage_(storage), capacity_(capacity_pages) {
   const size_t n = std::max<size_t>(shards, 1);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -148,19 +40,13 @@ BufferManager::~BufferManager() {
   Flush();
 }
 
-internal::BufferTlsCounters& BufferManager::Tls() const {
-  return tls_table.For(instance_id_);
-}
-
 void BufferManager::CountHit() {
   hits_.fetch_add(1, std::memory_order_relaxed);
-  Tls().hits.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_hits_total);
 }
 
 void BufferManager::CountMiss() {
   misses_.fetch_add(1, std::memory_order_relaxed);
-  Tls().misses.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_misses_total);
 }
 
@@ -239,7 +125,7 @@ Status BufferManager::ReadImage(PageId id, const PageCodec* codec,
 
 Status BufferManager::ReadInto(PageId id, QueryContext* ctx,
                                const ReadSink& sink, TryReadOutcome* outcome) {
-  if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
+  if (ctx != nullptr) ctx->OnPageRead(BufferKey(), id, storage_->page_size());
   // A miss counts as a disk access (the paper's metric) whether the page
   // then arrives via a claimed demand fetch or a synchronous read.
   if (capacity_ == 0) {
@@ -396,7 +282,7 @@ Status BufferManager::TryReadInto(PageId id, QueryContext* ctx,
   // No waker to fire: the caller drives the query inline, so it takes the
   // synchronous fetch and never parks.
   if (!waker) return ReadInto(id, ctx, sink, outcome);
-  if (ctx != nullptr) ctx->OnPageRead(instance_id_, id, storage_->page_size());
+  if (ctx != nullptr) ctx->OnPageRead(BufferKey(), id, storage_->page_size());
   bool issue = false;
   bool served = false;
   Status result;
@@ -554,11 +440,9 @@ Status BufferManager::EvictIfFull(Shard& shard) {
   const PageId victim = shard.policy->ChooseVictim();
   auto it = shard.frames.find(victim);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  Tls().evictions.fetch_add(1, std::memory_order_relaxed);
   KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_evictions_total);
   if (it->second.dirty) {
     writebacks_.fetch_add(1, std::memory_order_relaxed);
-    Tls().writebacks.fetch_add(1, std::memory_order_relaxed);
     KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
     KCPQ_RETURN_IF_ERROR(storage_->WritePage(victim, it->second.page));
   }
@@ -572,7 +456,6 @@ Status BufferManager::Flush() {
     for (auto& [id, frame] : shard->frames) {
       if (!frame.dirty) continue;
       writebacks_.fetch_add(1, std::memory_order_relaxed);
-      Tls().writebacks.fetch_add(1, std::memory_order_relaxed);
       KCPQ_METRIC_INC(obs::KcpqMetrics::Get().buffer_writebacks_total);
       KCPQ_RETURN_IF_ERROR(storage_->WritePage(id, frame.page));
       frame.dirty = false;
@@ -631,29 +514,7 @@ BufferStats BufferManager::stats() const {
   return s;
 }
 
-BufferStats BufferManager::ThreadStats() const { return Tls().Load(); }
-
-BufferStats BufferManager::AggregateStats() const {
-  ThreadStatsRegistry& reg = ThreadStatsRegistry::Get();
-  std::lock_guard<std::mutex> reg_lock(reg.mu);
-  BufferStats total;
-  if (auto it = reg.retired.find(instance_id_); it != reg.retired.end()) {
-    total = it->second;
-  }
-  for (ThreadTable* table : reg.live) {
-    std::lock_guard<std::mutex> table_lock(table->mu);
-    for (const auto& e : table->entries) {
-      if (e->instance_id != instance_id_) continue;
-      FoldInto(total, e->Load());
-    }
-  }
-  return total;
-}
-
 void BufferManager::ResetStats() {
-  // Resets the global counters only. Thread-local views are monotone and
-  // cannot be reset across threads; per-query accounting diffs them
-  // (before/after), which is reset-agnostic.
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);

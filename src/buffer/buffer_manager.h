@@ -82,18 +82,12 @@
 //      that lock. So there is one storage read per residency however many
 //      readers park on or wait out the fetch, and they all see its bytes.
 //
-// Statistics: the global counters (stats()) are atomics, exact under any
-// concurrency. Per-query cost accounting needs per-*thread* counts — two
-// queries sharing the buffer would otherwise see each other's misses in a
-// before/after delta — so every hit/miss is also recorded in a
-// thread-local table keyed by buffer instance; ThreadStats() returns the
-// calling thread's view, and the ε-join and multiway engines compute
-// their disk-access deltas from it (the CPQ, HS and Semi-CPQ state
-// machines count their own reads from TryReadOutcome instead). The
-// per-thread tables register themselves in a global registry and fold
-// their counts into a retired pool when their thread exits, so
-// AggregateStats() — the sum over all threads, living and dead — never
-// undercounts a batch whose workers finished before collection.
+// Statistics: the counters (stats()) are atomics, exact under any
+// concurrency, and count every thread's reads of this buffer. A
+// before/after delta is therefore one query's only while that query is
+// the buffer's sole reader (the CLI's EXPLAIN buffer line); the engines
+// count their own disk accesses from the TryReadOutcome of each read
+// (miss at claim).
 // Every hit/miss/eviction also feeds the process-wide metrics registry
 // (obs/kcpq_metrics.h: kcpq_buffer_*_total).
 
@@ -116,10 +110,6 @@
 #include "storage/storage_manager.h"
 
 namespace kcpq {
-
-namespace internal {
-struct BufferTlsCounters;  // buffer_manager.cc
-}  // namespace internal
 
 /// Hit/miss accounting snapshot. `misses` equals the physical reads this
 /// buffer caused — the paper's disk-access metric; `logical_reads = hits +
@@ -251,17 +241,6 @@ class BufferManager {
 
   /// Snapshot of the global counters (by value: they are atomics).
   BufferStats stats() const;
-  /// The calling thread's contribution to the counters — the basis for
-  /// per-query disk-access deltas when queries run concurrently. Threads
-  /// that never touched this buffer see all-zero stats.
-  BufferStats ThreadStats() const;
-  /// Sum of every thread's contribution to this buffer, including threads
-  /// that have already exited (their counts are retired into a global
-  /// pool on thread exit). Unlike stats(), this is unaffected by
-  /// ResetStats(), so batch-level hit ratios computed from before/after
-  /// AggregateStats() deltas are exact even when worker threads are gone
-  /// by collection time.
-  BufferStats AggregateStats() const;
   void ResetStats();
 
   StorageManager* storage() const { return storage_; }
@@ -353,8 +332,10 @@ class BufferManager {
   void StartFetchLocked(PageId id, const Waker& waker);
   void IssueFetch(PageId id);
 
-  /// This thread's stats slot for this buffer instance.
-  internal::BufferTlsCounters& Tls() const;
+  /// Tells this buffer's pages apart from another buffer's in a query's
+  /// page accounting (QueryContext::OnPageRead). A query never outlives
+  /// the buffers it reads, so the address is unique for its lifetime.
+  uint64_t BufferKey() const { return reinterpret_cast<uintptr_t>(this); }
 
   void CountHit();
   void CountMiss();
@@ -363,10 +344,6 @@ class BufferManager {
   size_t capacity_;
   /// unique_ptr: Shard holds a mutex and cannot move.
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// Distinguishes buffer instances in the thread-local stats table (ids
-  /// are never reused, unlike addresses).
-  const uint64_t instance_id_;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};

@@ -197,6 +197,12 @@ class QueryContext {
   mutable ReplicationStats replication_;
 };
 
+/// Saturating add for pair-capacity sums.
+inline uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  return a > max - b ? max : a + b;
+}
+
 /// Accumulates the frontier of a stopped branch-and-bound search into the
 /// per-rank anytime certificate (QueryQuality::rank_lower_bounds).
 ///
@@ -253,7 +259,7 @@ class FrontierCertificate {
     size_t next = 0;
     for (uint64_t r = 0; r < ranks_; ++r) {
       while (next < sorted.size() && covered <= r) {
-        covered = SatAdd(covered, sorted[next].second);
+        covered = SaturatingAdd(covered, sorted[next].second);
         ++next;
       }
       out.push_back(covered > r ? sorted[next - 1].first
@@ -263,11 +269,6 @@ class FrontierCertificate {
   }
 
  private:
-  static uint64_t SatAdd(uint64_t a, uint64_t b) {
-    const uint64_t max = std::numeric_limits<uint64_t>::max();
-    return a > max - b ? max : a + b;
-  }
-
   uint64_t ranks_;
   double min_pow_ = std::numeric_limits<double>::infinity();
   uint64_t total_capacity_ = 0;

@@ -112,11 +112,7 @@ std::vector<PairResult> BruteForceSemiClosestPairs(
     std::vector<PairResult> one = std::move(best).Extract();
     out.push_back(one.front());
   }
-  std::sort(out.begin(), out.end(),
-            [](const PairResult& a, const PairResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.p_id < b.p_id;
-            });
+  SortByDistanceThenIds(&out);  // p_ids are distinct: one pair per point
   return out;
 }
 

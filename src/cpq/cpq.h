@@ -33,6 +33,7 @@
 #ifndef KCPQ_CPQ_CPQ_H_
 #define KCPQ_CPQ_CPQ_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -167,6 +168,17 @@ struct PairResult {
   /// True distance under the query's metric (Euclidean by default).
   double distance = 0.0;
 };
+
+/// Sorts by ascending distance, ties by (p_id, q_id): the order of the
+/// ε-join, the Semi-CPQ and their brute-force references.
+inline void SortByDistanceThenIds(std::vector<PairResult>* pairs) {
+  std::sort(pairs->begin(), pairs->end(),
+            [](const PairResult& a, const PairResult& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              if (a.p_id != b.p_id) return a.p_id < b.p_id;
+              return a.q_id < b.q_id;
+            });
+}
 
 /// Work counters for one query. Disk accesses are counted by the trees'
 /// buffer managers; this struct records the per-query deltas.

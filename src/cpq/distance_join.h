@@ -1,16 +1,22 @@
 // Distance range join (ε-join): report every pair (p, q) in P x Q with
-// dist(p, q) <= epsilon. The fixed-radius sibling of the K-CPQ — the same
-// MINMINDIST pruning applies with a constant bound instead of an evolving
-// one, so it shares the traversal machinery of the cpq engine.
+// dist(p, q) <= epsilon. The fixed-radius sibling of the K-CPQ: it is the
+// paper's EXH traversal (nested-loop candidates, prune MINMINDIST > T)
+// with T fixed at ε^p and no limit on K, so it runs on the K-CPQ state
+// machine (cpq/resumable.h) under QueryObjective::DistanceJoin, and parks
+// on a miss like every other query when driven by a waker.
 
 #ifndef KCPQ_CPQ_DISTANCE_JOIN_H_
 #define KCPQ_CPQ_DISTANCE_JOIN_H_
 
+#include <memory>
 #include <vector>
 
+#include "common/resumable.h"
 #include "cpq/cpq.h"
 
 namespace kcpq {
+
+class ResumableCpqQuery;  // cpq/resumable.h
 
 struct DistanceJoinOptions {
   Metric metric = Metric::kL2;
@@ -33,7 +39,7 @@ struct DistanceJoinOptions {
   /// quality.missing_pair_bound caps how many qualifying pairs the partial
   /// result can be missing (the sum of pair capacities over deferred node
   /// pairs with MINMINDIST <= ε). The memory budget meters the
-  /// materialized result vector.
+  /// materialized results plus the traversal's candidate lists.
   QueryControl control;
 
   /// Optional externally-owned QueryContext; supersedes `control` and adds
@@ -46,6 +52,15 @@ struct DistanceJoinOptions {
 Result<std::vector<PairResult>> DistanceRangeJoin(
     const RStarTree& tree_p, const RStarTree& tree_q, double epsilon,
     const DistanceJoinOptions& options = {}, CpqStats* stats = nullptr);
+
+/// The same join as a resumable task (cpq/resumable.h): Step() it to
+/// kDone, then read status() and TakeResults(). An empty waker runs it
+/// inline, as DistanceRangeJoin does; a scheduler's waker parks it on
+/// each miss. `epsilon` must be >= 0; `stats` may be null. The trees,
+/// `stats` and `options.context` must outlive the task.
+std::unique_ptr<ResumableCpqQuery> NewDistanceJoinTask(
+    const RStarTree& tree_p, const RStarTree& tree_q, double epsilon,
+    const DistanceJoinOptions& options, CpqStats* stats, Waker waker);
 
 /// Brute-force reference (tests/benches).
 std::vector<PairResult> BruteForceDistanceRangeJoin(

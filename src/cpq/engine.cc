@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "geometry/metrics.h"
 #include "obs/explain.h"
@@ -88,21 +89,27 @@ DescendChoice ChooseDescend(int level_p, int level_q,
 }
 
 CpqEngine::CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
-                     const CpqOptions& options, CpqStats* stats)
+                     const CpqOptions& options,
+                     const QueryObjective& objective, CpqStats* stats)
     : tree_p_(tree_p),
       tree_q_(tree_q),
       options_(options),
       stats_(stats != nullptr ? stats : &local_stats_),
-      objective_(options.family, options.metric, options.query_rect),
+      objective_(objective),
       results_(options.k, objective_),
-      bound_(std::numeric_limits<double>::infinity()),
+      // The ε-join prunes at ε^p from the start; nothing else prunes
+      // before it has found a pair.
+      bound_(objective_.distance_join()
+                 ? objective_.epsilon_pow()
+                 : std::numeric_limits<double>::infinity()),
       local_context_(options.control),
       context_(options.context != nullptr ? options.context : &local_context_),
       profile_(context_->profile()),
       trace_(context_->trace()),
       accounting_(options.context != nullptr ||
                   !options.control.IsUnlimited()),
-      certificate_(options.k) {}
+      // The ε-join's K only caps its results: it certifies no ranks.
+      certificate_(objective_.distance_join() ? 0 : options.k) {}
 
 void CpqEngine::FinalizeQualityAndTrace() {
   // Quality certificate. A completed query keeps the default (exact,
@@ -117,14 +124,24 @@ void CpqEngine::FinalizeQualityAndTrace() {
   if (stop_ != StopCause::kNone) {
     stats_->quality.guaranteed_lower_bound =
         objective_.KeyToDistance(frontier_min_pow_);
-    stats_->quality.is_exact =
-        frontier_min_pow_ == std::numeric_limits<double>::infinity() ||
-        (results_.full() && results_.Bound() <= frontier_min_pow_);
+    if (objective_.distance_join()) {
+      // The ε-join's stop is harmless when nothing within ε was left
+      // unexpanded: an empty frontier, or one entirely beyond ε.
+      stats_->quality.is_exact = frontier_min_pow_ > objective_.epsilon_pow();
+      if (!stats_->quality.is_exact) {
+        stats_->quality.missing_pair_bound = missing_pairs_;
+      }
+    } else {
+      stats_->quality.is_exact =
+          frontier_min_pow_ == std::numeric_limits<double>::infinity() ||
+          (results_.full() && results_.Bound() <= frontier_min_pow_);
+    }
     // Per-rank refinement: bound r certifies that at most r missing
     // true-answer pairs can beat it — closer for minimizing families,
     // farther for kFarthest (capacity-weighted frontier profile; proof in
     // docs/robustness.md). KeyToDistance flips negated farthest keys back
     // to distances, so the reported values descend under bound_is_upper.
+    // The ε-join certifies no ranks.
     const std::vector<double> pow_bounds = certificate_.RankBoundsPow();
     stats_->quality.rank_lower_bounds.reserve(pow_bounds.size());
     for (const double b : pow_bounds) {
@@ -173,7 +190,11 @@ bool CpqEngine::ShouldStop(uint64_t extra_bytes) {
   if (stop_ != StopCause::kNone) return true;
   if (!accounting_) return false;
   // The context checks the *unified* footprint: the engine bytes recorded
-  // here plus every distinct buffer page the query has read.
+  // here plus every distinct buffer page the query has read. The ε-join's
+  // result set grows without a K to bound it, so it is metered too.
+  if (objective_.distance_join()) {
+    extra_bytes += results_.size() * sizeof(PairResult);
+  }
   stop_ = context_->Check(node_accesses_, candidate_bytes_ + extra_bytes);
   return stop_ != StopCause::kNone;
 }
@@ -207,18 +228,20 @@ void CpqEngine::OnPairRead(NodeRef* ref_p, NodeRef* ref_q,
   }
 }
 
-void CpqEngine::ProcessLeaves(const NodeImage& node_p,
-                              const NodeImage& node_q, bool same_node) {
+template <typename BoundFn, typename AdmitFn>
+void CpqEngine::ScanLeaves(const NodeImage& node_p, const NodeImage& node_q,
+                           bool same_node, bool strict, BoundFn bound,
+                           AdmitFn admit) {
   // Leaf entries are degenerate rects for point data and real boxes for
   // extended objects; the object distance is MINMINDIST of the rects
-  // (which collapses to the point distance for points), reported via a
-  // closest point pair.
+  // (which collapses to the point distance for points).
   //
   // Self-join: symmetric node pairs were skipped at generation time, so a
   // cross-node unordered object pair reaches this loop exactly once (in
-  // arbitrary order — normalize on output); within one node, the id filter
-  // keeps each unordered pair once and drops reflexive pairs. The filter
-  // lives inside `consider` so both kernels apply identical rules.
+  // arbitrary order — `admit` normalizes on output); within one node, the
+  // id filter keeps each unordered pair once and drops reflexive pairs.
+  // The filter lives inside `consider` so both kernels apply identical
+  // rules.
   const auto consider = [&](const Entry& ep, const Entry& eq) {
     if (options_.self_join) {
       if (same_node) {
@@ -229,8 +252,39 @@ void CpqEngine::ProcessLeaves(const NodeImage& node_p,
     }
     if (!objective_.LeafPairEligible(ep.rect, eq.rect)) return true;
     ++stats_->point_distance_computations;
-    const double key = objective_.LeafKey(ep.rect, eq.rect);
-    if (key >= results_.Bound()) return true;  // cheap reject before points
+    return admit(objective_.LeafKey(ep.rect, eq.rect), ep, eq);
+  };
+
+  // The sweep's skip test lower-bounds a pair's *distance* by its sweep-axis
+  // gap, which only implies `key >= bound()` for minimizing objectives —
+  // kFarthest falls back to the nested loop regardless of the option.
+  if (options_.leaf_kernel == LeafKernel::kPlaneSweep &&
+      objective_.SweepUsable()) {
+    // Pairs the sweep skips have sweep-axis separation alone beyond the
+    // bound, so `admit` would reject them — identical results, fewer
+    // distance computations. The bound is re-read per skip test, so pairs
+    // admitted early in this very sweep tighten it for the rest.
+    const uint64_t total = static_cast<uint64_t>(node_p.entries().size()) *
+                           node_q.entries().size();
+    const uint64_t visited = SweepNodePairs(node_p, node_q, options_.metric,
+                                            strict, bound, consider);
+    stats_->leaf_pairs_skipped += total - visited;
+    return;
+  }
+  for (const Entry& ep : node_p.entries()) {
+    for (const Entry& eq : node_q.entries()) {
+      if (!consider(ep, eq)) return;
+    }
+  }
+}
+
+Status CpqEngine::ProcessLeaves(const NodeImage& node_p,
+                                const NodeImage& node_q, bool same_node) {
+  const uint64_t kernel_start_ns =
+      trace_ != nullptr ? trace_->NowNs() : 0;
+  // Both objectives report a pair through its closest points, in id order
+  // for a self-join.
+  const auto offer = [&](double key, const Entry& ep, const Entry& eq) {
     Point p, q;
     ClosestPoints(ep.rect, eq.rect, &p, &q);
     if (options_.self_join && ep.id > eq.id) {
@@ -238,34 +292,34 @@ void CpqEngine::ProcessLeaves(const NodeImage& node_p,
     } else {
       results_.Offer(key, p, q, ep.id, eq.id);
     }
-    return true;
   };
-
-  const uint64_t kernel_start_ns =
-      trace_ != nullptr ? trace_->NowNs() : 0;
-
-  // The sweep's skip test lower-bounds a pair's *distance* by its sweep-axis
-  // gap, which only implies `key >= Bound()` for minimizing objectives —
-  // kFarthest falls back to the nested loop regardless of the option.
-  if (options_.leaf_kernel == LeafKernel::kPlaneSweep &&
-      objective_.SweepUsable()) {
-    // Pairs the sweep skips have sweep-axis separation alone >= the result
-    // heap's bound, so their full distance would fail the `key >= Bound()`
-    // reject above — identical results, fewer distance computations. The
-    // bound is re-read per skip test, so pairs offered early in this very
-    // sweep tighten it for the rest.
-    const uint64_t total = static_cast<uint64_t>(node_p.entries().size()) *
-                           node_q.entries().size();
-    const uint64_t visited = SweepNodePairs(
-        node_p, node_q, options_.metric, /*strict=*/false,
-        [&] { return results_.Bound(); }, consider);
-    stats_->leaf_pairs_skipped += total - visited;
-  } else {
-    for (const Entry& ep : node_p.entries()) {
-      for (const Entry& eq : node_q.entries()) {
-        consider(ep, eq);
-      }
+  if (objective_.distance_join()) {
+    // Every pair within ε is a result; strict = true keeps the tie at ε,
+    // so the sweep skips only pairs whose axis gap strictly exceeds it.
+    // The result heap holds max_results + 1 pairs: filling it is the
+    // overflow.
+    const double epsilon_pow = objective_.epsilon_pow();
+    ScanLeaves(node_p, node_q, same_node, /*strict=*/true,
+               [epsilon_pow] { return epsilon_pow; },
+               [&](double key, const Entry& ep, const Entry& eq) {
+                 if (key > epsilon_pow) return true;
+                 offer(key, ep, eq);
+                 return !results_.full();
+               });
+    if (results_.full()) {
+      return Status::ResourceExhausted(
+          "distance join exceeded max_results = " +
+          std::to_string(options_.k - 1));
     }
+  } else {
+    ScanLeaves(node_p, node_q, same_node, /*strict=*/false,
+               [this] { return results_.Bound(); },
+               [&](double key, const Entry& ep, const Entry& eq) {
+                 // Cheap reject before the closest points.
+                 if (key >= results_.Bound()) return true;
+                 offer(key, ep, eq);
+                 return true;
+               });
   }
   bound_ = std::min(bound_, results_.Bound());
   NoteBoundImprovement();
@@ -280,6 +334,7 @@ void CpqEngine::ProcessLeaves(const NodeImage& node_p,
     e.b = node_q.entries().size();
     trace_->Record(e);
   }
+  return Status::OK();
 }
 
 void CpqEngine::GenerateCandidates(const NodeRef& ref_p,

@@ -6,9 +6,10 @@
 // reading a node pair's bookkeeping, the leaf kernel, candidate
 // generation, bound tightening, pruning and the stop / frontier rules.
 // It has no traversal of its own: the one traversal of all five
-// algorithms (plus self, farthest and rect queries) is the state machine
-// in cpq/resumable.h, which drives these kernels whether it runs inline
-// (KClosestPairs) or on the completion-driven scheduler.
+// algorithms (plus self, farthest and rect queries, and the ε-join) is
+// the state machine in cpq/resumable.h, which drives these kernels
+// whether it runs inline (KClosestPairs) or on the completion-driven
+// scheduler.
 #ifndef KCPQ_CPQ_ENGINE_H_
 #define KCPQ_CPQ_ENGINE_H_
 
@@ -90,8 +91,12 @@ DescendChoice ChooseDescend(int level_p, int level_q, HeightStrategy strategy);
 /// ResumableCpqQuery (cpq/resumable.h).
 class CpqEngine {
  public:
+  /// `objective` is the family's policy (cpq/objective.h); the ε-distance
+  /// join passes QueryObjective::DistanceJoin, every other query the
+  /// objective its options name.
   CpqEngine(const RStarTree& tree_p, const RStarTree& tree_q,
-            const CpqOptions& options, CpqStats* stats);
+            const CpqOptions& options, const QueryObjective& objective,
+            CpqStats* stats);
 
  private:
   /// The traversal (cpq/resumable.h) drives the kernels below and reads
@@ -104,9 +109,19 @@ class CpqEngine {
                   const NodeImage& node_q);
 
   /// Brute-force distance scan of two leaves; feeds the result heap and
-  /// tightens T. `same_node` drives the self-join duplicate rules.
-  void ProcessLeaves(const NodeImage& node_p, const NodeImage& node_q,
-                     bool same_node);
+  /// tightens T. `same_node` drives the self-join duplicate rules. Fails
+  /// only when an ε-join finds more pairs than its max_results allows.
+  Status ProcessLeaves(const NodeImage& node_p, const NodeImage& node_q,
+                       bool same_node);
+
+  /// The leaf kernel both objectives share: applies the self-join and
+  /// eligibility rules and counts each distance, then hands every pair's
+  /// key to `admit`, which returns false to abort the scan. The sweep
+  /// skips pairs whose axis gap exceeds bound() (or reaches it, unless
+  /// `strict`).
+  template <typename BoundFn, typename AdmitFn>
+  void ScanLeaves(const NodeImage& node_p, const NodeImage& node_q,
+                  bool same_node, bool strict, BoundFn bound, AdmitFn admit);
 
   /// Generates the child pairs of (ref_p, ref_q) according to the descend
   /// choice, with minmin / tie / min_pairs filled in. HEAP and STD sweep
@@ -153,10 +168,16 @@ class CpqEngine {
   /// Records an unexpanded node pair: its key (the minimum over all of
   /// them certifies that no undiscovered pair can beat it — "closer" for
   /// minimizing families, "farther" for kFarthest) and its pair capacity,
-  /// which refines the certificate per rank.
+  /// which refines the certificate per rank — or, for the ε-join, counts
+  /// toward the pairs the result may be missing when the pair could still
+  /// hold one within ε.
   void FoldFrontier(double key, uint64_t max_pairs) {
     frontier_min_pow_ = std::min(frontier_min_pow_, key);
-    certificate_.Add(key, std::max<uint64_t>(max_pairs, 1));
+    max_pairs = std::max<uint64_t>(max_pairs, 1);
+    certificate_.Add(key, max_pairs);
+    if (objective_.distance_join() && key <= objective_.epsilon_pow()) {
+      missing_pairs_ = SaturatingAdd(missing_pairs_, max_pairs);
+    }
   }
 
   /// Reports a strict improvement of the pruning bound T to the attached
@@ -242,6 +263,9 @@ class CpqEngine {
   double frontier_min_pow_ = std::numeric_limits<double>::infinity();
   /// Per-rank refinement of the frontier bound (see FrontierCertificate).
   FrontierCertificate certificate_;
+  /// ε-join only: saturating sum of the pair capacities of frontier pairs
+  /// with key <= ε^p (QueryQuality::missing_pair_bound).
+  uint64_t missing_pairs_ = 0;
   /// Last bound_ value reported to the profile/trace (power space).
   double reported_bound_ = std::numeric_limits<double>::infinity();
 };

@@ -94,6 +94,14 @@ class MultiwayEngine {
 
   Status Run(std::vector<TupleResult>* out) {
     const size_t m = trees_.size();
+    // Slots that read through one buffer (one tree in two slots) each
+    // count that buffer's misses, so a miss is credited once per slot.
+    slots_sharing_.assign(m, 0);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        if (trees_[j]->buffer() == trees_[i]->buffer()) ++slots_sharing_[i];
+      }
+    }
     // Live heap bytes: each queued tuple owns an m-slot vector.
     const uint64_t tuple_bytes = sizeof(SearchTuple) + m * sizeof(SlotRef);
     std::priority_queue<SearchTuple, std::vector<SearchTuple>,
@@ -106,16 +114,16 @@ class MultiwayEngine {
     if (ShouldStop(0)) {
       stop_bound_ = 0.0;
     } else {
-      QueryContext* read_ctx = accounting_ ? ctx_ : nullptr;
       SearchTuple root;
       root.slots.resize(m);
       Status root_status;
       for (size_t i = 0; i < m && root_status.ok(); ++i) {
-        Rect mbr;
-        root_status = trees_[i]->RootMbr(&mbr, read_ctx);
+        NodeImagePtr node;
+        root_status = ReadNode(i, trees_[i]->root_page(),
+                               trees_[i]->height() - 1, &node);
         if (!root_status.ok()) break;
-        root.slots[i] =
-            SlotRef{trees_[i]->root_page(), trees_[i]->height() - 1, mbr};
+        root.slots[i] = SlotRef{trees_[i]->root_page(),
+                                trees_[i]->height() - 1, node->mbr()};
       }
       if (root_status.code() == StatusCode::kDeadlineExceeded) {
         // Storage abandoned a retry before anything was examined: partial
@@ -165,10 +173,10 @@ class MultiwayEngine {
         KCPQ_RETURN_IF_ERROR(s);
         continue;
       }
-      Node node;
-      const Status read_status = trees_[expand]->ReadNode(
-          tuple.slots[expand].page, tuple.slots[expand].level, &node,
-          accounting_ ? ctx_ : nullptr);
+      NodeImagePtr node;
+      const Status read_status =
+          ReadNode(expand, tuple.slots[expand].page, tuple.slots[expand].level,
+                   &node);
       if (read_status.code() == StatusCode::kDeadlineExceeded) {
         stop_ = StopCause::kDeadline;
         stop_bound_ = tuple.bound;
@@ -177,10 +185,10 @@ class MultiwayEngine {
       KCPQ_RETURN_IF_ERROR(read_status);
       ++stats_->node_pairs_processed;
       ++node_accesses_;
-      for (const Entry& entry : node.entries) {
+      for (const Entry& entry : node->entries()) {
         SearchTuple child = tuple;
         child.slots[expand] =
-            SlotRef{entry.id, node.level - 1, entry.rect};
+            SlotRef{entry.id, node->level() - 1, entry.rect};
         child.bound = BoundOf(child.slots);
         ++stats_->candidate_pairs_generated;
         if (child.bound > results_.Bound()) {
@@ -199,6 +207,7 @@ class MultiwayEngine {
     }
     *out = std::move(results_).Extract();
 
+    stats_->disk_accesses_p = misses_;
     stats_->node_accesses = node_accesses_;
     stats_->quality.stop_cause = stop_;
     stats_->quality.pairs_found = out->size();
@@ -221,6 +230,17 @@ class MultiwayEngine {
     return stop_ != StopCause::kNone;
   }
 
+  // Reads slot `slot`'s node inline and tallies a miss once per slot
+  // reading through that buffer. A failed read still counts its miss: the
+  // buffer counts it before it reads storage.
+  Status ReadNode(size_t slot, PageId page, int level, NodeImagePtr* node) {
+    BufferManager::TryReadOutcome outcome;
+    const Status s = trees_[slot]->TryReadNode(
+        page, level, node, accounting_ ? ctx_ : nullptr, Waker(), &outcome);
+    if (!outcome.hit) misses_ += slots_sharing_[slot];
+    return s;
+  }
+
   double BoundOf(const std::vector<SlotRef>& slots) const {
     double bound = 0.0;
     for (const MultiwayEdge& e : graph_) {
@@ -235,9 +255,8 @@ class MultiwayEngine {
     const size_t m = tuple.slots.size();
     nodes_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      KCPQ_RETURN_IF_ERROR(trees_[i]->ReadNode(tuple.slots[i].page,
-                                               tuple.slots[i].level, &nodes_[i],
-                                               accounting_ ? ctx_ : nullptr));
+      KCPQ_RETURN_IF_ERROR(
+          ReadNode(i, tuple.slots[i].page, tuple.slots[i].level, &nodes_[i]));
       ++node_accesses_;
     }
     ++stats_->node_pairs_processed;
@@ -258,7 +277,7 @@ class MultiwayEngine {
       results_.Offer(std::move(result));
       return;
     }
-    for (const Entry& entry : nodes_[slot].entries) {
+    for (const Entry& entry : nodes_[slot]->entries()) {
       const Point p = entry.AsPoint();
       // Aggregate contribution of edges between this slot and already
       // fixed slots; edges to later slots are bounded below by the
@@ -292,7 +311,10 @@ class MultiwayEngine {
   bool accounting_;
   CpqStats* stats_;
   TupleHeap results_;
-  std::vector<Node> nodes_;
+  std::vector<NodeImagePtr> nodes_;
+  /// Per slot: how many slots read through the same buffer.
+  std::vector<uint64_t> slots_sharing_;
+  uint64_t misses_ = 0;
   std::vector<Point> chosen_points_;
   std::vector<uint64_t> chosen_ids_;
   uint64_t node_accesses_ = 0;
@@ -326,11 +348,8 @@ Result<std::vector<TupleResult>> MultiwayKClosestTuples(
   *s = CpqStats{};
   std::vector<TupleResult> out;
   if (options.k == 0) return out;
-  std::vector<BufferStats> before;
-  before.reserve(trees.size());
   for (const RStarTree* tree : trees) {
     if (tree->size() == 0) return out;
-    before.push_back(tree->buffer()->ThreadStats());
   }
   // An external context supersedes `control` (same rule as CpqOptions).
   QueryContext local_ctx(options.control);
@@ -340,10 +359,6 @@ Result<std::vector<TupleResult>> MultiwayKClosestTuples(
       options.context != nullptr || !ctx->control().IsUnlimited();
   MultiwayEngine engine(trees, graph, options, ctx, accounting, s);
   KCPQ_RETURN_IF_ERROR(engine.Run(&out));
-  for (size_t i = 0; i < trees.size(); ++i) {
-    s->disk_accesses_p +=
-        trees[i]->buffer()->ThreadStats().misses - before[i].misses;
-  }
   return out;
 }
 

@@ -78,9 +78,26 @@ class QueryObjective {
   QueryObjective(QueryFamily family, Metric metric, const Rect& rect = Rect{})
       : family_(family), metric_(metric), rect_(rect) {}
 
+  /// The ε-distance join (cpq/distance_join.h): closest-pair keys with the
+  /// pruning bound fixed at `epsilon_pow` (ε^p) for the whole traversal.
+  /// Every leaf pair with key <= ε^p is a result (the tie at ε included),
+  /// and the anytime certificate counts the pair capacity of every
+  /// frontier pair with key <= ε^p as possibly missing. Not a QueryFamily:
+  /// only DistanceRangeJoin builds it.
+  static QueryObjective DistanceJoin(Metric metric, double epsilon_pow) {
+    QueryObjective o(QueryFamily::kClosest, metric);
+    o.distance_join_ = true;
+    o.epsilon_pow_ = epsilon_pow;
+    return o;
+  }
+
   QueryFamily family() const { return family_; }
   Metric metric() const { return metric_; }
   const Rect& rect() const { return rect_; }
+
+  /// True for the ε-distance join; epsilon_pow() is then its fixed bound.
+  bool distance_join() const { return distance_join_; }
+  double epsilon_pow() const { return epsilon_pow_; }
 
   /// Smaller key = smaller distance. Everything distance-monotone (axis-gap
   /// sweep skips, capacity-based tightening via MINMAXDIST/MAXMAXDIST
@@ -155,6 +172,8 @@ class QueryObjective {
   QueryFamily family_ = QueryFamily::kClosest;
   Metric metric_ = Metric::kL2;
   Rect rect_{};
+  bool distance_join_ = false;
+  double epsilon_pow_ = 0.0;
 };
 
 }  // namespace kcpq

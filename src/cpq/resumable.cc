@@ -37,7 +37,19 @@ ResumableCpqQuery::ResumableCpqQuery(const RStarTree& tree_p,
                                      CpqOptions options, CpqStats* stats,
                                      Waker waker)
     : options_(std::move(options)),
-      engine_(tree_p, tree_q, options_, stats),
+      engine_(tree_p, tree_q, options_,
+              QueryObjective(options_.family, options_.metric,
+                             options_.query_rect),
+              stats),
+      waker_(std::move(waker)) {}
+
+ResumableCpqQuery::ResumableCpqQuery(const RStarTree& tree_p,
+                                     const RStarTree& tree_q,
+                                     CpqOptions options,
+                                     const QueryObjective& objective,
+                                     CpqStats* stats, Waker waker)
+    : options_(std::move(options)),
+      engine_(tree_p, tree_q, options_, objective, stats),
       waker_(std::move(waker)) {}
 
 ResumableCpqQuery::~ResumableCpqQuery() = default;
@@ -68,6 +80,19 @@ ResumableTask::StepResult ResumableCpqQuery::Fail(Status s) {
   return StepResult::kDone;
 }
 
+void ResumableCpqQuery::FoldMetrics() {
+  if (engine_.objective_.distance_join()) return;
+  cpq_internal::FoldCpqMetrics(*engine_.stats_, Seconds(), options_.family);
+}
+
+void ResumableCpqQuery::DeferRoot() {
+  CpqEngine& e = engine_;
+  e.FoldFrontier(e.objective_.WeakestKey(),
+                 SaturatingMul(e.tree_p_.size(), e.tree_q_.size()));
+  if (e.profile_ != nullptr) e.profile_->Deferred(root_level_, 1);
+  phase_ = Phase::kFinish;
+}
+
 void ResumableCpqQuery::CountRead(const BufferManager::TryReadOutcome& outcome,
                                   bool is_p) {
   if (outcome.hit) return;
@@ -95,10 +120,7 @@ bool ResumableCpqQuery::StartPhase() {
   root_level_ = PairLevel(e.tree_p_.height() - 1, e.tree_q_.height() - 1);
   if (e.profile_ != nullptr) e.profile_->Considered(root_level_, 1);
   if (e.ShouldStop(0)) {
-    e.FoldFrontier(e.objective_.WeakestKey(),
-                   std::numeric_limits<uint64_t>::max());
-    if (e.profile_ != nullptr) e.profile_->Deferred(root_level_, 1);
-    phase_ = Phase::kFinish;
+    DeferRoot();
   } else {
     phase_ = Phase::kReadRootP;
   }
@@ -118,10 +140,7 @@ bool ResumableCpqQuery::ReadRoot(bool is_p, StepResult* parked) {
   }
   if (s.code() == StatusCode::kDeadlineExceeded) {
     e.stop_ = StopCause::kDeadline;
-    e.FoldFrontier(e.objective_.WeakestKey(),
-                   std::numeric_limits<uint64_t>::max());
-    if (e.profile_ != nullptr) e.profile_->Deferred(root_level_, 1);
-    phase_ = Phase::kFinish;
+    DeferRoot();
     return true;
   }
   if (!s.ok()) {
@@ -322,8 +341,7 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
     switch (phase_) {
       case Phase::kStart: {
         if (!StartPhase()) {
-          cpq_internal::FoldCpqMetrics(*engine_.stats_, Seconds(),
-                                       options_.family);
+          FoldMetrics();
           final_status_ = Status::OK();
           phase_ = Phase::kDone;
           return StepResult::kDone;
@@ -389,7 +407,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         const DescendChoice choice = ChooseDescend(
             node_p_->level(), node_q_->level(), options_.height_strategy);
         if (choice == DescendChoice::kLeaves) {
-          e.ProcessLeaves(*node_p_, *node_q_, cur_p_.page == cur_q_.page);
+          Status s =
+              e.ProcessLeaves(*node_p_, *node_q_, cur_p_.page == cur_q_.page);
+          if (!s.ok()) return Fail(std::move(s));
           AdvanceRecursive();
           continue;
         }
@@ -422,7 +442,9 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         const DescendChoice choice = ChooseDescend(
             node_p_->level(), node_q_->level(), options_.height_strategy);
         if (choice == DescendChoice::kLeaves) {
-          e.ProcessLeaves(*node_p_, *node_q_, cur_p_.page == cur_q_.page);
+          Status s =
+              e.ProcessLeaves(*node_p_, *node_q_, cur_p_.page == cur_q_.page);
+          if (!s.ok()) return Fail(std::move(s));
           phase_ = Phase::kHeapLoop;
           continue;
         }
@@ -437,8 +459,11 @@ ResumableTask::StepResult ResumableCpqQuery::Step() {
         e.stats_->disk_accesses_q = misses_q_;
         e.stats_->node_accesses = e.node_accesses_;
         e.FinalizeQualityAndTrace();
-        cpq_internal::FoldCpqMetrics(*e.stats_, Seconds(), options_.family);
+        FoldMetrics();
         results_out_ = std::move(e.results_).Extract();
+        // Equal keys leave the heap in no particular order; the ε-join
+        // lists ties by ids.
+        if (e.objective_.distance_join()) SortByDistanceThenIds(&results_out_);
         final_status_ = Status::OK();
         phase_ = Phase::kDone;
         return StepResult::kDone;

@@ -1,6 +1,6 @@
 // The K-CPQ traversal: all five algorithms, plus self, farthest and
-// rect-restricted queries, as one explicit state machine over the
-// engine's kernels (cpq/engine.h).
+// rect-restricted queries and the ε-distance join, as one explicit state
+// machine over the engine's kernels (cpq/engine.h).
 //
 // Every node read goes through BufferManager::TryRead, and the waker the
 // task was built with decides how the machine is driven:
@@ -21,8 +21,8 @@
 // keep a park invisible to the query: the recursion is an explicit frame
 // stack and the heap loop pops before it reads, so a park resumes at the
 // read, never before a stop poll; and per-query misses are tallied from
-// each read's TryReadOutcome (miss at claim), never from thread-local
-// buffer deltas, which mean nothing when many queries share a worker.
+// each read's TryReadOutcome (miss at claim), never from deltas of the
+// buffer's counters, which include every other reader of the buffer.
 //
 // Lifetime: a scheduled query registers its waker with the
 // BufferManager's in-flight demand fetches. A query stopped while parked
@@ -52,6 +52,12 @@ class ResumableCpqQuery final : public ResumableTask {
   /// an empty one drives the query inline (see the file comment).
   ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
                     CpqOptions options, CpqStats* stats, Waker waker);
+  /// Runs `objective` instead of the family `options` names: the
+  /// ε-distance join (cpq/distance_join.h) is this machine with EXH's
+  /// visit order and QueryObjective::DistanceJoin.
+  ResumableCpqQuery(const RStarTree& tree_p, const RStarTree& tree_q,
+                    CpqOptions options, const QueryObjective& objective,
+                    CpqStats* stats, Waker waker);
   ~ResumableCpqQuery() override;
 
   StepResult Step() override;
@@ -100,6 +106,12 @@ class ResumableCpqQuery final : public ResumableTask {
   /// TryRead without a waker never parks).
   StepResult Park(PageId page);
   StepResult Fail(Status s);
+  /// Folds the finished query into the registry's CPQ metrics. The
+  /// ε-join is not a CPQ family and keeps out of them.
+  void FoldMetrics();
+  /// Folds the root pair, unexamined, into the frontier (a stop before
+  /// the root pair's reads).
+  void DeferRoot();
 
   /// Tallies one served read into the per-query miss counters. A self-join's shared buffer counts each miss on both sides
   /// (disk_accesses_p and _q both describe that one buffer).

@@ -86,11 +86,7 @@ bool ResumableSemiQuery::StartPhase() {
 }
 
 void ResumableSemiQuery::FinishPhase() {
-  std::sort(out_.begin(), out_.end(),
-            [](const PairResult& a, const PairResult& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.p_id < b.p_id;
-            });
+  SortByDistanceThenIds(&out_);  // p_ids are distinct: one pair per point
   stats_->disk_accesses_p = misses_p_;
   stats_->disk_accesses_q = misses_q_;
   stats_->node_accesses = node_accesses_;

@@ -145,8 +145,8 @@ class JoinImpl {
   bool have_pending_ = false;
   NodeImagePtr node_a_, node_b_;
   bool have_a_ = false, have_b_ = false;
-  /// Per-query I/O tallies from TryRead outcomes (thread-local buffer
-  /// deltas are meaningless when many queries multiplex one worker).
+  /// Per-query I/O tallies from TryRead outcomes (buffer counter deltas
+  /// would include every other query sharing the buffer).
   uint64_t misses_p_ = 0;
   uint64_t misses_q_ = 0;
   bool park_pending_ = false;

@@ -2,8 +2,8 @@
 //
 // BackgroundScrubber owns a thread that samples an *activity probe* — any
 // monotone counter whose movement means the store is busy; the CLI passes
-// the BufferManager's aggregate logical reads
-// (`buf.AggregateStats().logical_reads()`). When the probe has not moved
+// the BufferManager's logical reads (`buf.stats().logical_reads()`), which
+// count every thread's hits and misses. When the probe has not moved
 // for `idle_after`, the scrubber asks the MirroredStorageManager to scrub
 // the next `pages_per_tick` pages, then yields again. The probe keeps the
 // layering clean (storage cannot depend on buffer) and the hook

@@ -1,6 +1,5 @@
 // Unit tests for the buffer manager and replacement policies.
 
-#include <thread>
 #include <vector>
 
 #include "buffer/buffer_manager.h"
@@ -240,83 +239,6 @@ TEST(BufferManagerTest, PageChargesCountAgainstMemoryBudget) {
   EXPECT_EQ(ctx.Check(0, 0), StopCause::kMemoryBudget);  // 3 pages >= limit
 }
 
-// AggregateStats sums the per-thread tables across every thread that ever
-// touched this buffer — including threads that have already exited, whose
-// counters fold into a retired store on thread teardown.
-TEST(BufferManagerTest, AggregateStatsSurvivesThreadExit) {
-  MemoryStorageManager storage(64);
-  const auto ids = Populate(&storage, 3);
-  BufferManager buffer(&storage, 2);
-
-  Page out;
-  KCPQ_ASSERT_OK(buffer.Read(ids[0], &out));  // main thread: 1 miss
-  KCPQ_ASSERT_OK(buffer.Read(ids[0], &out));  // main thread: 1 hit
-
-  std::thread worker([&] {
-    Page worker_out;
-    KCPQ_ASSERT_OK(buffer.Read(ids[0], &worker_out));  // hit (cached above)
-    KCPQ_ASSERT_OK(buffer.Read(ids[1], &worker_out));  // miss
-    KCPQ_ASSERT_OK(buffer.Read(ids[1], &worker_out));  // hit
-  });
-  worker.join();  // worker's thread-locals are gone now
-
-  // ThreadStats is per-thread: the main thread never sees worker counts.
-  EXPECT_EQ(buffer.ThreadStats().hits, 1u);
-  EXPECT_EQ(buffer.ThreadStats().misses, 1u);
-
-  const BufferStats total = buffer.AggregateStats();
-  EXPECT_EQ(total.hits, 3u);
-  EXPECT_EQ(total.misses, 2u);
-}
-
-// Aggregation is keyed by buffer instance: two buffers over one storage
-// never see each other's counts, even from the same threads.
-TEST(BufferManagerTest, AggregateStatsIsPerInstance) {
-  MemoryStorageManager storage(64);
-  const auto ids = Populate(&storage, 2);
-  BufferManager a(&storage, 2);
-  BufferManager b(&storage, 2);
-  Page out;
-  KCPQ_ASSERT_OK(a.Read(ids[0], &out));
-  KCPQ_ASSERT_OK(b.Read(ids[0], &out));
-  KCPQ_ASSERT_OK(b.Read(ids[0], &out));
-  EXPECT_EQ(a.AggregateStats().misses, 1u);
-  EXPECT_EQ(a.AggregateStats().hits, 0u);
-  EXPECT_EQ(b.AggregateStats().misses, 1u);
-  EXPECT_EQ(b.AggregateStats().hits, 1u);
-}
-
-// Concurrent readers while another thread aggregates: exercised under
-// TSan in CI to prove the per-thread tables and the retired fold are
-// race-free.
-TEST(BufferManagerTest, AggregateStatsConcurrentWithReaders) {
-  MemoryStorageManager storage(64);
-  const auto ids = Populate(&storage, 4);
-  BufferManager buffer(&storage, 2);
-
-  constexpr int kThreads = 4;
-  constexpr int kReadsPerThread = 2000;
-  std::vector<std::thread> readers;
-  readers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    readers.emplace_back([&, t] {
-      Page out;
-      for (int i = 0; i < kReadsPerThread; ++i) {
-        KCPQ_ASSERT_OK(buffer.Read(ids[(t + i) % ids.size()], &out));
-      }
-    });
-  }
-  uint64_t last_logical = 0;
-  for (int i = 0; i < 50; ++i) {
-    const BufferStats agg = buffer.AggregateStats();
-    EXPECT_GE(agg.logical_reads(), last_logical);  // monotone under load
-    last_logical = agg.logical_reads();
-  }
-  for (std::thread& r : readers) r.join();
-  EXPECT_EQ(buffer.AggregateStats().logical_reads(),
-            static_cast<uint64_t>(kThreads) * kReadsPerThread);
-}
-
 // Regression: capacity_pages < shards leaves some shards with capacity
 // 0; the first miss routed to such a shard used to pick an eviction
 // victim from an empty policy (undefined behaviour — crashed in release
@@ -330,7 +252,7 @@ TEST(BufferManagerTest, FewerPagesThanShardsDoesNotCrash) {
   for (int pass = 0; pass < 2; ++pass) {
     for (const PageId id : ids) KCPQ_ASSERT_OK(buffer.Read(id, &out));
   }
-  const BufferStats stats = buffer.AggregateStats();
+  const BufferStats stats = buffer.stats();
   EXPECT_EQ(stats.logical_reads(), 2u * ids.size());
   EXPECT_GT(stats.misses, 0u);
 }

@@ -330,7 +330,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 }
 
 // Concurrent queries against shared *sharded* buffers: per-query disk
-// access deltas (thread-local accounting) must sum to the buffers' global
+// accesses (each query's own read outcomes) must sum to the buffers' global
 // miss counters, and results must match the unshared single-thread run.
 TEST(ShardedBufferTest, ConcurrentQueriesAccountDiskAccesses) {
   const auto p_items = MakeUniformItems(3000, 9111);

@@ -800,7 +800,7 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
       BufferManager* buf = db->buffer.get();
       scrubbers.push_back(std::make_unique<BackgroundScrubber>(
           db->mirrored(),
-          [buf] { return buf->AggregateStats().logical_reads(); }));
+          [buf] { return buf->stats().logical_reads(); }));
     }
   }
   const auto finish_scrub = [&](std::FILE* o) {
@@ -1016,8 +1016,11 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
         options.k);
     ctx.set_observation(live.get());
   }
-  const BufferStats buffer_before_p = p.buffer->ThreadStats();
-  const BufferStats buffer_before_q = q.buffer->ThreadStats();
+  // The query is its buffers' only reader (scrubbers read the replicas
+  // directly, hedge losers run below the buffer), so deltas of the
+  // buffers' counters are its own.
+  const BufferStats buffer_before_p = p.buffer->stats();
+  const BufferStats buffer_before_q = q.buffer->stats();
 
   CpqStats stats;
   Timer timer;
@@ -1066,8 +1069,8 @@ Status CmdKcp(const Flags& flags, std::FILE* out) {
   std::string explain_text;
   uint64_t admission_estimate_bytes = 0;
   if (want_profile) {
-    const BufferStats after_p = p.buffer->ThreadStats();
-    const BufferStats after_q = q.buffer->ThreadStats();
+    const BufferStats after_p = p.buffer->stats();
+    const BufferStats after_q = q.buffer->stats();
 
     // The cost model's view of this query, for the estimate-vs-measured
     // line (an advisory controller is just the estimator).
